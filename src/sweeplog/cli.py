@@ -54,16 +54,13 @@ def _read_log(path: str, fmt: Optional[str]) -> EventLog:
     raise ValueError(f"unknown log format {resolved!r}, expected csv or xes")
 
 
-def _out_format(path: str, fmt: Optional[str]) -> str:
-    return fmt or infer_format(path)
-
-
 def _cmd_adjust(args: argparse.Namespace) -> int:
     log = _read_log(args.input, args.format)
     if args.debug_table:
         print(format_adjustment_table(log), file=sys.stderr)
     adjusted = adjust_log(log)
-    write_log(adjusted.coalesced, _out_format(args.out, args.format), args.out)
+    out_format = args.format or infer_format(args.out)
+    write_log(adjusted.coalesced, out_format, args.out)
     return 0
 
 
@@ -106,7 +103,7 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
 def _cmd_inject(args: argparse.Namespace) -> int:
     log = _read_log(args.input, args.format)
     shifted = inject(log, args.shift)
-    write_log(shifted, _out_format(args.out, args.format), args.out)
+    write_log(shifted, args.format or infer_format(args.out), args.out)
     return 0
 
 
@@ -129,21 +126,17 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--format", choices=("csv", "xes"),
                          help="log format (default: from file extension)")
 
-    adjust = commands.add_parser(
-        "adjust", help="write the log with fair-share adjusted durations")
-    add_common(adjust, needs_out=True)
-    adjust.add_argument("--debug-table", action="store_true",
-                        help="dump boundary points, intervals, and shares "
-                             "to stderr")
-    adjust.set_defaults(handler=_cmd_adjust)
-
-    aux = commands.add_parser(
-        "aux", help="write the fair-share table (one row per share)")
-    add_common(aux, needs_out=True)
-    aux.add_argument("--debug-table", action="store_true",
-                     help="dump boundary points, intervals, and shares "
-                          "to stderr")
-    aux.set_defaults(handler=_cmd_aux)
+    for name, handler, summary in (
+        ("adjust", _cmd_adjust,
+         "write the log with fair-share adjusted durations"),
+        ("aux", _cmd_aux, "write the fair-share table (one row per share)"),
+    ):
+        sweeping = commands.add_parser(name, help=summary)
+        add_common(sweeping, needs_out=True)
+        sweeping.add_argument("--debug-table", action="store_true",
+                              help="dump boundary points, intervals, and "
+                                   "shares to stderr")
+        sweeping.set_defaults(handler=handler)
 
     metrics = commands.add_parser(
         "metrics", help="compute multitasking indexes and counts")

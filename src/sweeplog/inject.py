@@ -17,12 +17,14 @@ its partner.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .model import (
     DurationMs,
     EventLog,
+    Instant,
     ResourceSegment,
     WorkItem,
     WorkItemId,
@@ -59,20 +61,18 @@ def find_adjacent_pairs(
     pool.  A pivot without a partner is skipped.  Instantaneous items take
     no part at all.
     """
-    candidates = [item for item in segment.items if item.end > item.start]
-    consumed: set[WorkItemId] = set()
+    by_start: dict[Instant, deque[WorkItem]] = {}
+    for item in segment.items:
+        if item.end > item.start:
+            by_start.setdefault(item.start, deque()).append(item)
     pairs: list[tuple[WorkItem, WorkItem]] = []
-    for i, pivot in enumerate(candidates):
-        if pivot.id in consumed:
-            continue
-        for partner in candidates[i + 1:]:
-            if partner.id in consumed:
-                continue
-            if partner.start == pivot.end:
-                pairs.append((pivot, partner))
-                consumed.add(pivot.id)
-                consumed.add(partner.id)
-                break
+    # Groups come in start order and a partner starts after its pivot, so
+    # every claim on a group's items is made before they act as pivots.
+    for group in by_start.values():
+        for pivot in group:
+            waiting = by_start.get(pivot.end)
+            if waiting:
+                pairs.append((pivot, waiting.popleft()))
     return pairs
 
 

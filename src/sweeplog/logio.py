@@ -198,7 +198,8 @@ def read_xes(path: PathLike) -> EventLog:
 
     Pairing is FIFO per (trace, activity, resource) in document order.
     Unmatched events and unknown lifecycle transitions are errors naming
-    the trace and activity.
+    the trace and activity.  The k-th trace, if unnamed, is called
+    ``trace-k``, a name that no named trace may also carry.
     """
     path = Path(path)
     try:
@@ -208,18 +209,25 @@ def read_xes(path: PathLike) -> EventLog:
 
     records: list[_Record] = []
     trace_count = 0
+    named_by_id: dict[str, bool] = {}
     for element in tree.getroot():
         if _local_name(element.tag) != "trace":
             continue
         trace_count += 1
-        trace_id = f"trace-{trace_count}"
+        trace_id = None
         for child in element:
             if (
                 _local_name(child.tag) != "event"
                 and child.get("key") == "concept:name"
             ):
-                trace_id = child.get("value", trace_id)
+                trace_id = child.get("value")
                 break
+        named = trace_id is not None
+        trace_id = trace_id if named else f"trace-{trace_count}"
+        if named_by_id.setdefault(trace_id, named) != named:
+            raise LogFormatError(
+                f"{path}: trace name {trace_id!r} is both given and generated"
+            )
 
         open_starts: dict[tuple[str, str], list[int]] = {}
         for child in element:

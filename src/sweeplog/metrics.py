@@ -16,14 +16,15 @@ computed only between items of the same resource.  From it:
 * MTWII (per log): mean MTRI_overlapped over the resources where it is
   defined.  How intense multitasking is where it occurs.
 
-Pair loops are exact and quadratic per resource; log sizes in this domain
-(about a million pairs) do not warrant sampling.
+Pairs that do not overlap add 0, so every index and count comes from one
+start-order sweep over overlapped pairs: O(n log n + overlapped pairs)
+per resource.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from math import comb, fsum
 from typing import Mapping, Optional
 
 from .model import EventLog, ResourceSegment, WorkItem, segments_per_resource
@@ -71,10 +72,6 @@ class MetricsReport:
     counts: SummaryCounts
 
 
-def _intersection(a: WorkItem, b: WorkItem) -> int:
-    return min(a.end, b.end) - max(a.start, b.start)
-
-
 def overlap(a: WorkItem, b: WorkItem) -> float:
     """Intersection length over the larger of the two durations, in [0, 1].
 
@@ -87,7 +84,7 @@ def overlap(a: WorkItem, b: WorkItem) -> float:
             f"overlap is defined within one resource; got "
             f"{a.resource!r} and {b.resource!r}"
         )
-    shared = max(_intersection(a, b), 0)
+    shared = max(min(a.end, b.end) - max(a.start, b.start), 0)
     longest = max(a.duration, b.duration)
     if longest == 0:
         return 0.0
@@ -95,36 +92,45 @@ def overlap(a: WorkItem, b: WorkItem) -> float:
 
 
 def overlapped_pairs(segment: ResourceSegment) -> list[PairOverlap]:
-    """All unordered pairs of the segment with strictly positive intersection."""
+    """All unordered pairs of the segment with strictly positive intersection.
+
+    Each positive-duration item pairs only with the items live at its start.
+    """
     pairs = []
-    for a, b in combinations(segment.items, 2):
-        if _intersection(a, b) > 0:
-            pairs.append(PairOverlap(a.id, b.id, overlap(a, b)))
+    live: list[WorkItem] = []
+    for item in segment.items:
+        if item.end == item.start:
+            continue
+        live = [other for other in live if other.end > item.start]
+        for other in live:
+            pairs.append(PairOverlap(other.id, item.id, overlap(other, item)))
+        live.append(item)
     return pairs
+
+
+def _pair_means(
+    segment: ResourceSegment, pairs: list[PairOverlap]
+) -> tuple[float, Optional[float]]:
+    """(MTRI, MTRI_overlapped) of a segment from its overlapped pairs."""
+    if not pairs:
+        return 0.0, None
+    total = fsum(pair.ratio for pair in pairs)
+    return total / comb(len(segment), 2), total / len(pairs)
 
 
 def mtri(segment: ResourceSegment) -> float:
     """Mean overlap over every unordered pair; 0 with fewer than two items."""
-    pairs = list(combinations(segment.items, 2))
-    if not pairs:
-        return 0.0
-    return sum(overlap(a, b) for a, b in pairs) / len(pairs)
+    return _pair_means(segment, overlapped_pairs(segment))[0]
 
 
 def mtri_overlapped(segment: ResourceSegment) -> Optional[float]:
     """Mean overlap over the overlapped pairs only; None when there are none."""
-    pairs = overlapped_pairs(segment)
-    if not pairs:
-        return None
-    return sum(pair.ratio for pair in pairs) / len(pairs)
+    return _pair_means(segment, overlapped_pairs(segment))[1]
 
 
 def mtli(log: EventLog) -> float:
     """Mean MTRI across all resources of the log; 0 for an empty log."""
-    segments = segments_per_resource(log)
-    if not segments:
-        return 0.0
-    return sum(mtri(segment) for segment in segments) / len(segments)
+    return summarize(log).mtli
 
 
 def mtwii(log: EventLog) -> Optional[float]:
@@ -132,46 +138,35 @@ def mtwii(log: EventLog) -> Optional[float]:
 
     None when no resource multitasks at all.
     """
-    values = []
-    for segment in segments_per_resource(log):
-        value = mtri_overlapped(segment)
-        if value is not None:
-            values.append(value)
-    if not values:
-        return None
-    return sum(values) / len(values)
+    report = summarize(log)
+    return report.mtwii if report.mtwii_defined else None
 
 
 def summarize(log: EventLog) -> MetricsReport:
     """Compute every index plus the summary counts in one pass."""
-    segments = segments_per_resource(log)
     mtri_all: dict[str, float] = {}
     mtri_over: dict[str, float] = {}
     multitasked_activities: set[str] = set()
     overlapped_items: set[object] = set()
     total_pairs = 0
 
-    for segment in segments:
-        mtri_all[segment.resource] = mtri(segment)
+    for segment in segments_per_resource(log):
         pairs = overlapped_pairs(segment)
-        if not pairs:
+        mtri_all[segment.resource], restricted = _pair_means(segment, pairs)
+        if restricted is None:
             continue
         total_pairs += len(pairs)
-        mtri_over[segment.resource] = (
-            sum(pair.ratio for pair in pairs) / len(pairs)
-        )
+        mtri_over[segment.resource] = restricted
         by_id = {item.id: item for item in segment.items}
         for pair in pairs:
             for wiid in (pair.first_id, pair.second_id):
                 overlapped_items.add(wiid)
                 multitasked_activities.add(by_id[wiid].activity)
 
-    mtli_value = (
-        sum(mtri_all.values()) / len(mtri_all) if mtri_all else 0.0
-    )
+    mtli_value = fsum(mtri_all.values()) / len(mtri_all) if mtri_all else 0.0
     mtwii_defined = bool(mtri_over)
     mtwii_value = (
-        sum(mtri_over.values()) / len(mtri_over) if mtwii_defined else 0.0
+        fsum(mtri_over.values()) / len(mtri_over) if mtwii_defined else 0.0
     )
     counts = SummaryCounts(
         tasks_multitasked=len(multitasked_activities),

@@ -106,12 +106,13 @@ def validate_log(raw_items: Iterable[WorkItem]) -> EventLog:
 
     Raises:
         LogValidationError: listing every item whose end precedes its
-            start, that lacks a resource or activity, or whose id repeats.
+            start, that lacks a resource or activity, or whose id repeats
+            (ids such as 1 and "1" share a sort key, so they count as one).
     """
     items = list(raw_items)
     problems: list[str] = []
-    seen_ids: set[WorkItemId] = set()
-    for item in items:
+    first_index: dict[str, int] = {}
+    for index, item in enumerate(items):
         if item.end < item.start:
             problems.append(f"item {item.id!r}: end precedes start "
                             f"({item.end} < {item.start})")
@@ -119,11 +120,11 @@ def validate_log(raw_items: Iterable[WorkItem]) -> EventLog:
             problems.append(f"item {item.id!r}: missing resource")
         if not item.activity:
             problems.append(f"item {item.id!r}: missing activity")
-        if item.id in seen_ids:
+        if first_index.setdefault(_id_key(item.id), index) != index:
             problems.append(f"item {item.id!r}: duplicate id")
-        seen_ids.add(item.id)
     if problems:
         raise LogValidationError(problems)
+    del first_index  # free its keys before the sort makes its own
 
     ordered = sorted(items, key=lambda w: (w.trace_id, w.start, _id_key(w.id)))
     trace_ids: dict[str, list[WorkItemId]] = {}

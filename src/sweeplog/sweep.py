@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .model import (
     EventLog,
@@ -28,7 +28,6 @@ from .model import (
     _id_key,
     round_half_up_ms,
     segments_per_resource,
-    validate_log,
 )
 
 PLUS = "+"
@@ -207,6 +206,20 @@ def build_aux_items(
     return shares
 
 
+def _swept_resources(log: EventLog) -> Iterator[
+    tuple[str, list[TimePoint], list[ActiveInterval], list[AuxWorkItem]]
+]:
+    """Per resource: points, intervals, and shares; share ids run log-wide."""
+    next_id = 1
+    for segment in segments_per_resource(log):
+        swept = tuple(item for item in segment.items if item.end > item.start)
+        points = build_time_points(ResourceSegment(segment.resource, swept))
+        intervals = build_intervals(points)
+        shares = build_aux_items(intervals, first_id=next_id)
+        next_id += len(shares)
+        yield segment.resource, points, intervals, shares
+
+
 def adjust_log(log: EventLog) -> LogAdjustment:
     """Fair-share adjust every resource of a log.
 
@@ -218,15 +231,8 @@ def adjust_log(log: EventLog) -> LogAdjustment:
     """
     aux_by_resource: dict[str, tuple[AuxWorkItem, ...]] = {}
     share_totals: dict[WorkItemId, Fraction] = {}
-    next_id = 1
-    for segment in segments_per_resource(log):
-        swept = tuple(item for item in segment.items if item.end > item.start)
-        points = build_time_points(
-            ResourceSegment(resource=segment.resource, items=swept)
-        )
-        shares = build_aux_items(build_intervals(points), first_id=next_id)
-        next_id += len(shares)
-        aux_by_resource[segment.resource] = tuple(shares)
+    for resource, _, _, shares in _swept_resources(log):
+        aux_by_resource[resource] = tuple(shares)
         for share in shares:
             share_totals[share.parent_id] = (
                 share_totals.get(share.parent_id, Fraction(0)) + share.duration
@@ -243,7 +249,11 @@ def adjust_log(log: EventLog) -> LogAdjustment:
         )
         for item in log.items
     )
-    coalesced = validate_log(c.to_work_item() for c in coalesced_exact)
+    # Ids, trace ids and starts come from a validated log and no end falls
+    # below its start, so validating again could change no order or index.
+    coalesced = EventLog(
+        tuple(c.to_work_item() for c in coalesced_exact), log.trace_index
+    )
     return LogAdjustment(
         aux_by_resource=aux_by_resource,
         coalesced_exact=coalesced_exact,
@@ -265,16 +275,7 @@ def format_adjustment_table(log: EventLog) -> str:
     decimals.
     """
     lines: list[str] = []
-    next_id = 1
-    for segment in segments_per_resource(log):
-        swept = tuple(item for item in segment.items if item.end > item.start)
-        points = build_time_points(
-            ResourceSegment(resource=segment.resource, items=swept)
-        )
-        intervals = build_intervals(points)
-        shares = build_aux_items(intervals, first_id=next_id)
-        next_id += len(shares)
-
+    for resource, points, intervals, shares in _swept_resources(log):
         point_text = ", ".join(
             f"({p.tstamp}, {p.wiid}, '{p.symbol}')" for p in points
         )
@@ -289,7 +290,7 @@ def format_adjustment_table(log: EventLog) -> str:
             f"{_format_number(s.duration)})"
             for s in shares
         )
-        lines.append(f"resource {segment.resource}")
+        lines.append(f"resource {resource}")
         lines.append(f"  points    = {{{point_text}}}")
         lines.append(f"  intervals = {{{interval_text}}}")
         lines.append(f"  shares    = {{{share_text}}}")

@@ -2,14 +2,18 @@
 
 The oracles deliberately avoid the library's sweep/pair machinery:
 fair-share and busy-time oracles enumerate unit time steps, metric
-oracles run explicit double loops over ordered pairs.
+oracles run explicit double loops over ordered pairs.  The all-pairs
+``overlapped_pairs`` and tail-rescan ``find_adjacent_pairs`` are the
+straightforward quadratic versions the library's sweeps replaced.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
+from sweeplog.metrics import PairOverlap
 from sweeplog.model import EventLog, WorkItem, validate_log
 
 RESOURCE = "R1"
@@ -84,9 +88,69 @@ def random_segment_items(
     ]
 
 
+def adversarial_items(rng: random.Random, max_items: int = 40):
+    """Random items over a few resources, rich in coincidences.
+
+    Spans repeat, starts coincide with earlier starts and ends (so items
+    tie and chain), a share of items is instantaneous, ids mix ints and
+    strings, and half of the logs sit at epoch-millisecond scale.
+    """
+    base = rng.choice((0, 1_600_000_000_000))
+    items = []
+    for resource in range(rng.randint(1, 3)):
+        spans: list[tuple[int, int]] = []
+        for _ in range(rng.randint(0, max_items)):
+            roll = rng.random()
+            if spans and roll < 0.2:
+                start, end = rng.choice(spans)
+            else:
+                if spans and roll < 0.5:
+                    start = rng.choice(rng.choice(spans))
+                else:
+                    start = rng.randint(0, 80)
+                instantaneous = rng.random() < 0.15
+                end = start if instantaneous else start + rng.randint(1, 40)
+            spans.append((start, end))
+            seq = len(items)
+            items.append(
+                wi(seq if seq % 2 else f"w{seq}", base + start, base + end,
+                   resource=f"R{resource}", activity=f"act-{seq % 7}",
+                   trace=f"t{seq % 4}")
+            )
+    return items
+
+
 # ---------------------------------------------------------------------------
 # Oracles
 # ---------------------------------------------------------------------------
+
+def overlapped_pairs_by_combinations(segment) -> list[PairOverlap]:
+    """Every unordered pair of the segment tested for positive intersection."""
+    pairs = []
+    for a, b in combinations(segment.items, 2):
+        if min(a.end, b.end) - max(a.start, b.start) > 0:
+            pairs.append(PairOverlap(a.id, b.id, overlap_ratio_direct(a, b)))
+    return pairs
+
+
+def adjacent_pairs_by_rescan(segment):
+    """Greedy disjoint adjacent pairs, rescanning the tail for each pivot."""
+    candidates = [item for item in segment.items if item.end > item.start]
+    consumed = set()
+    pairs = []
+    for i, pivot in enumerate(candidates):
+        if pivot.id in consumed:
+            continue
+        for partner in candidates[i + 1:]:
+            if partner.id in consumed:
+                continue
+            if partner.start == pivot.end:
+                pairs.append((pivot, partner))
+                consumed.add(pivot.id)
+                consumed.add(partner.id)
+                break
+    return pairs
+
 
 def union_measure_by_unit_steps(items) -> int:
     """Measure of the union of item spans, one unit step at a time."""

@@ -1,0 +1,142 @@
+"""The pair sweeps against their quadratic references on adversarial logs.
+
+The acceptance corpus holds at most eight items with distinct spans; these
+logs add identical spans, tied starts, chained items, instantaneous items,
+epoch-scale timestamps, mixed int/str ids and up to 40 items per resource.
+The same logs check that ``adjust_log``'s coalesced log, built without a
+second validation, equals what validating it again would give.
+"""
+
+import random
+
+import pytest
+
+from sweeplog.inject import find_adjacent_pairs
+from sweeplog.metrics import (
+    mtli,
+    mtri,
+    mtri_overlapped,
+    mtwii,
+    overlapped_pairs,
+    summarize,
+)
+from sweeplog.model import segments_per_resource, validate_log
+from sweeplog.sweep import adjust_log
+
+from helpers import (
+    adjacent_pairs_by_rescan,
+    adversarial_items,
+    make_log,
+    mtli_by_double_loop,
+    mtri_by_double_loop,
+    mtri_overlapped_by_double_loop,
+    mtwii_by_double_loop,
+    overlapped_pairs_by_combinations,
+)
+
+LOGS = 300
+TOLERANCE = 1e-12
+
+
+@pytest.fixture(scope="module")
+def logs():
+    rng = random.Random(20040913)
+    return [make_log(adversarial_items(rng)) for _ in range(LOGS)]
+
+
+def close(actual, expected):
+    if expected is None:
+        return actual is None
+    return actual == pytest.approx(expected, abs=TOLERANCE)
+
+
+def test_corpus_has_the_adversarial_shapes(logs):
+    items = [item for log in logs for item in log.items]
+    assert any(item.start == item.end for item in items)
+    assert any(isinstance(item.id, int) for item in items)
+    assert any(isinstance(item.id, str) for item in items)
+    assert any(item.start > 10**12 for item in items)
+    spans = [(item.resource, item.start, item.end) for item in items]
+    assert len(set(spans)) < len(spans)
+    assert max(len(s) for log in logs for s in segments_per_resource(log)) > 30
+
+
+def test_overlapped_pairs_match_all_pairs(logs):
+    for log in logs:
+        for segment in segments_per_resource(log):
+            actual = overlapped_pairs(segment)
+            expected = overlapped_pairs_by_combinations(segment)
+            assert len(actual) == len(expected)
+            assert set(actual) == set(expected)
+
+
+def test_per_resource_indexes_match_double_loop(logs):
+    for log in logs:
+        for segment in segments_per_resource(log):
+            items = list(segment.items)
+            assert close(mtri(segment), mtri_by_double_loop(items))
+            assert close(
+                mtri_overlapped(segment), mtri_overlapped_by_double_loop(items)
+            )
+
+
+def test_summarize_matches_references(logs):
+    for log in logs:
+        report = summarize(log)
+        pairs_by_resource = {
+            s.resource: (s, overlapped_pairs_by_combinations(s))
+            for s in segments_per_resource(log)
+        }
+        activity = {item.id: item.activity for item in log.items}
+        overlapped_ids = {
+            wiid
+            for _, pairs in pairs_by_resource.values()
+            for pair in pairs
+            for wiid in (pair.first_id, pair.second_id)
+        }
+        counts = report.counts
+        assert counts.pairs_overlapped == sum(
+            len(pairs) for _, pairs in pairs_by_resource.values()
+        )
+        assert counts.events_overlapped == len(overlapped_ids)
+        assert counts.tasks_multitasked == len(
+            {activity[wiid] for wiid in overlapped_ids}
+        )
+        assert counts.resources_multitasking == sum(
+            1 for _, pairs in pairs_by_resource.values() if pairs
+        )
+
+        assert report.mtri_all.keys() == pairs_by_resource.keys()
+        for resource, (segment, _) in pairs_by_resource.items():
+            items = list(segment.items)
+            assert close(report.mtri_all[resource], mtri_by_double_loop(items))
+            assert close(
+                report.mtri_overlapped.get(resource),
+                mtri_overlapped_by_double_loop(items),
+            )
+
+        assert close(report.mtli, mtli_by_double_loop(log))
+        assert close(mtli(log), mtli_by_double_loop(log))
+        expected_mtwii = mtwii_by_double_loop(log)
+        assert close(mtwii(log), expected_mtwii)
+        assert report.mtwii_defined == (expected_mtwii is not None)
+        assert close(report.mtwii, expected_mtwii or 0.0)
+
+
+def test_adjacent_pairs_match_rescan(logs):
+    found = 0
+    for log in logs:
+        for segment in segments_per_resource(log):
+            actual = find_adjacent_pairs(segment)
+            expected = adjacent_pairs_by_rescan(segment)
+            assert [(a.id, b.id) for a, b in actual] == [
+                (a.id, b.id) for a, b in expected
+            ]
+            found += len(actual)
+    assert found > LOGS
+
+
+def test_coalesced_log_is_already_valid(logs):
+    for log in logs:
+        coalesced = adjust_log(log).coalesced
+        assert validate_log(coalesced.items) == coalesced

@@ -39,7 +39,8 @@ def xes_text(traces, log_attrs=""):
     body = []
     for trace_id, events in traces:
         body.append("<trace>")
-        body.append(f'<string key="concept:name" value="{trace_id}"/>')
+        if trace_id is not None:
+            body.append(f'<string key="concept:name" value="{trace_id}"/>')
         body.extend(events)
         body.append("</trace>")
     return (
@@ -309,6 +310,30 @@ class TestReadXes:
             encoding="utf-8",
         )
         assert len(read_xes(path)) == 1
+
+    def test_unnamed_traces_get_generated_names(self, tmp_path):
+        events = [
+            xes_event("T1", "R1", "start", stamp(0)),
+            xes_event("T1", "R1", "complete", stamp(10)),
+        ]
+        path = tmp_path / "unnamed.xes"
+        path.write_text(
+            xes_text([(None, events), ("c1", events), (None, events)]),
+            encoding="utf-8",
+        )
+        assert set(read_xes(path).trace_index) == {"trace-1", "c1", "trace-3"}
+
+    def test_generated_trace_name_may_not_match_a_named_trace(self, tmp_path):
+        events = [
+            xes_event("T1", "R1", "start", stamp(0)),
+            xes_event("T1", "R1", "complete", stamp(10)),
+        ]
+        for traces in ([(None, events), ("trace-1", events)],
+                       [("trace-2", events), (None, events)]):
+            path = tmp_path / "clash.xes"
+            path.write_text(xes_text(traces), encoding="utf-8")
+            with pytest.raises(LogFormatError, match="trace-"):
+                read_xes(path)
 
     def test_extra_attributes_ignored(self, tmp_path):
         event = (

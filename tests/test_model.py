@@ -41,6 +41,16 @@ class TestValidateLog:
             validate_log([wi("dup", 0, 10), wi("dup", 20, 30)])
         assert "duplicate id" in str(err.value)
 
+    def test_ids_equal_as_strings_are_duplicates(self):
+        # 1 and "1" share a sort key, so accepting both would leave their
+        # order in the log to the order of the input
+        for items in ([wi(1, 0, 10), wi("1", 0, 10)],
+                      [wi("1", 0, 10), wi(1, 0, 10)],
+                      [wi(1, 0, 10)] * 2):
+            with pytest.raises(LogValidationError) as err:
+                validate_log(items)
+            assert "duplicate id" in str(err.value)
+
     def test_zero_duration_is_legal(self):
         log = validate_log([wi("z", 5, 5)])
         assert len(log) == 1
