@@ -18,6 +18,7 @@ from typing import Optional, Sequence
 
 from .inject import inject
 from .logio import (
+    CSV_COLUMNS,
     LogFormatError,
     format_timestamp,
     infer_format,
@@ -28,19 +29,10 @@ from .logio import (
     write_report,
 )
 from .metrics import summarize
-from .model import EventLog, LogValidationError, round_half_up_ms
-from .sweep import adjust_log, format_adjustment_table
+from .model import EventLog, LogValidationError
+from .sweep import _swept_resources, adjust_log, format_adjustment_table
 
-AUX_COLUMNS = (
-    "aux_id",
-    "parent_id",
-    "case_id",
-    "activity",
-    "resource",
-    "start_timestamp",
-    "end_timestamp",
-    "duration_ms",
-)
+AUX_COLUMNS = ("aux_id", "parent_id", *CSV_COLUMNS, "duration_ms")
 
 
 def _read_log(path: str, fmt: Optional[str]) -> EventLog:
@@ -58,9 +50,8 @@ def _cmd_adjust(args: argparse.Namespace) -> int:
     log = _read_log(args.input, args.format)
     if args.debug_table:
         print(format_adjustment_table(log), file=sys.stderr)
-    adjusted = adjust_log(log)
-    out_format = args.format or infer_format(args.out)
-    write_log(adjusted.coalesced, out_format, args.out)
+    write_log(adjust_log(log).coalesced, args.format or infer_format(args.out),
+              args.out)
     return 0
 
 
@@ -68,25 +59,24 @@ def _cmd_aux(args: argparse.Namespace) -> int:
     log = _read_log(args.input, args.format)
     if args.debug_table:
         print(format_adjustment_table(log), file=sys.stderr)
-    adjusted = adjust_log(log)
     parents = log.by_id()
+    aux_id = 0
     with open(args.out, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(AUX_COLUMNS)
-        for share in adjusted.aux_items:
-            parent = parents[share.parent_id]
-            writer.writerow(
-                (
-                    share.id,
-                    share.parent_id,
-                    parent.trace_id,
-                    parent.activity,
-                    parent.resource,
-                    format_timestamp(share.start),
-                    format_timestamp(share.end),
-                    round_half_up_ms(share.duration),
-                )
-            )
+        # LogAdjustment.aux_items rows; an interval's shares share all but ids.
+        for resource, _, intervals in _swept_resources(log):
+            for interval in intervals:
+                live = len(interval.active_ids)
+                start = format_timestamp(interval.start)
+                end = format_timestamp(interval.end)
+                portion = (2 * interval.span + live) // (2 * live)
+                for wiid in interval.active_ids:
+                    aux_id += 1
+                    parent = parents[wiid]
+                    writer.writerow((aux_id, wiid, parent.trace_id,
+                                     parent.activity, resource, start, end,
+                                     portion))
     return 0
 
 

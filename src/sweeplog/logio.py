@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import csv
 import json
+import re
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
@@ -71,7 +72,13 @@ def parse_timestamp(text: str) -> int:
     if cleaned.endswith(("Z", "z")):
         cleaned = cleaned[:-1] + "+00:00"
     try:
-        moment = datetime.fromisoformat(cleaned)
+        try:
+            moment = datetime.fromisoformat(cleaned)
+        except ValueError:
+            # 3.10 reads 3 or 6 digits only; 3.11+ pads or truncates to 6.
+            moment = datetime.fromisoformat(re.sub(
+                r"(?<=:\d\d\.)\d+", lambda m: f"{m[0]:0<6.6}", cleaned,
+                count=1))
     except ValueError as exc:
         raise LogFormatError(f"unparseable timestamp {text!r}") from exc
     if moment.tzinfo is None:
@@ -140,17 +147,14 @@ def read_csv(path: PathLike) -> EventLog:
                     f"{len(CSV_COLUMNS)} fields, got {len(row)}"
                 )
             case_id, activity, resource, start_text, end_text = row
+            column = "start_timestamp"
             try:
                 start = parse_timestamp(start_text)
-            except LogFormatError as exc:
-                raise LogFormatError(
-                    f"{path}: line {line_no}, column start_timestamp: {exc}"
-                ) from None
-            try:
+                column = "end_timestamp"
                 end = parse_timestamp(end_text)
             except LogFormatError as exc:
                 raise LogFormatError(
-                    f"{path}: line {line_no}, column end_timestamp: {exc}"
+                    f"{path}: line {line_no}, column {column}: {exc}"
                 ) from None
             if end < start:
                 raise LogFormatError(

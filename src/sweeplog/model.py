@@ -33,7 +33,8 @@ class LogValidationError(ValueError):
 
 def round_half_up_ms(value: Fraction) -> int:
     """Round a rational millisecond value to a whole millisecond, halves up."""
-    return int((value + Fraction(1, 2)).__floor__())
+    num, den = value.numerator, value.denominator
+    return (2 * num + den) // (2 * den)
 
 
 def _id_key(item_id: WorkItemId) -> str:

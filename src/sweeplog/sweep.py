@@ -1,22 +1,22 @@
 """Sweep-line decomposition and fair-share time adjustment.
 
 A resource that runs several work items at once divides its attention, so
-summing raw durations overstates its busy time.  The adjustment here walks
-each resource's interval boundaries in time order, keeps the set of items
-live at every instant, and cuts the timeline into maximal intervals over
-which that set is constant.  Each interval's span is then split evenly
-among the live items, and an item's adjusted duration is the sum of its
-shares.  Adjusted durations of a resource always add up to the measure of
-the union of its busy intervals, never more.
-
-All share arithmetic uses exact rationals; rounding to whole milliseconds
-happens only when results are serialized.
+summing raw durations overstates its busy time.  Here each span is split
+evenly among the items live over it (processor sharing): one virtual clock
+per resource advances by span / live between consecutive boundaries, and
+an item's adjusted duration, the exact sum of its shares, is the clock's
+advance from its start to its end.  Adjusted durations of a resource add
+up to the measure of the union of its busy intervals, never more.  All
+arithmetic is exact, shares are built only on request, and rounding to
+whole milliseconds happens only when results are serialized.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from itertools import chain
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .model import (
@@ -77,10 +77,6 @@ class AuxWorkItem:
     parent_id: WorkItemId
     duration: Fraction
 
-    @property
-    def span(self) -> int:
-        return self.end - self.start
-
 
 @dataclass(frozen=True)
 class CoalescedItem:
@@ -115,23 +111,30 @@ class CoalescedItem:
 
 @dataclass(frozen=True)
 class LogAdjustment:
-    """Result of adjusting a log: the shares and the coalesced log.
+    """Result of adjusting a log: the coalesced log, and shares on request.
 
-    ``aux_by_resource`` groups shares by resource in resource-name order;
-    share ids are sequential from 1 across the whole run.  ``coalesced``
-    has exactly one item per input item, with ends rounded to whole
-    milliseconds; ``coalesced_exact`` carries the unrounded ends.
+    ``coalesced`` has one item per input item, ends rounded to whole ms;
+    ``coalesced_exact`` carries the unrounded ends.  ``aux_by_resource``,
+    computed from ``source`` on first access, groups shares by resource in
+    name order; share ids are sequential from 1 across the whole run.
     """
 
-    aux_by_resource: Mapping[str, tuple[AuxWorkItem, ...]]
     coalesced_exact: tuple[CoalescedItem, ...]
     coalesced: EventLog
+    source: EventLog = field(repr=False)
+
+    @cached_property
+    def aux_by_resource(self) -> Mapping[str, tuple[AuxWorkItem, ...]]:
+        shares: dict[str, tuple[AuxWorkItem, ...]] = {}
+        next_id = 1
+        for resource, _, intervals in _swept_resources(self.source):
+            shares[resource] = tuple(build_aux_items(intervals, next_id))
+            next_id += len(shares[resource])
+        return shares
 
     @property
     def aux_items(self) -> tuple[AuxWorkItem, ...]:
-        return tuple(
-            aux for shares in self.aux_by_resource.values() for aux in shares
-        )
+        return tuple(chain.from_iterable(self.aux_by_resource.values()))
 
 
 def build_time_points(segment: ResourceSegment) -> list[TimePoint]:
@@ -207,36 +210,39 @@ def build_aux_items(
 
 
 def _swept_resources(log: EventLog) -> Iterator[
-    tuple[str, list[TimePoint], list[ActiveInterval], list[AuxWorkItem]]
+    tuple[str, list[TimePoint], list[ActiveInterval]]
 ]:
-    """Per resource: points, intervals, and shares; share ids run log-wide."""
-    next_id = 1
+    """Per resource: points and intervals of its positive-duration items."""
     for segment in segments_per_resource(log):
         swept = tuple(item for item in segment.items if item.end > item.start)
         points = build_time_points(ResourceSegment(segment.resource, swept))
-        intervals = build_intervals(points)
-        shares = build_aux_items(intervals, first_id=next_id)
-        next_id += len(shares)
-        yield segment.resource, points, intervals, shares
+        yield segment.resource, points, build_intervals(points)
 
 
 def adjust_log(log: EventLog) -> LogAdjustment:
     """Fair-share adjust every resource of a log.
 
-    Instantaneous items carry no divisible time: they bypass the sweep,
-    contribute no shares, and are copied unchanged into the coalesced log.
-    Every other item's coalesced end is its start plus the exact sum of
-    its shares.  The coalesced log keeps the input's length, ids, trace
-    structure, activities, resources, and starts.
+    Instantaneous items carry no divisible time: they get no shares, and
+    are copied unchanged into the coalesced log.  Every other item's
+    coalesced end is its start plus the exact sum of its shares.  The
+    coalesced log keeps the input's length, ids, trace structure,
+    activities, resources, and starts.
     """
-    aux_by_resource: dict[str, tuple[AuxWorkItem, ...]] = {}
-    share_totals: dict[WorkItemId, Fraction] = {}
-    for resource, _, _, shares in _swept_resources(log):
-        aux_by_resource[resource] = tuple(shares)
-        for share in shares:
-            share_totals[share.parent_id] = (
-                share_totals.get(share.parent_id, Fraction(0)) + share.duration
-            )
+    # Net live-count change per boundary; an instantaneous item's nets to 0.
+    changes: dict[str, dict[Instant, int]] = {}
+    for item in log.items:
+        change = changes.setdefault(item.resource, {})
+        change[item.start] = change.get(item.start, 0) + 1
+        change[item.end] = change.get(item.end, 0) - 1
+    clocks: dict[str, dict[Instant, Fraction]] = {}
+    for resource, change in changes.items():
+        clock = clocks[resource] = {}
+        virtual, live, previous = Fraction(0), 0, 0
+        for time in sorted(change):
+            if live > 0:
+                virtual += Fraction(time - previous, live)
+            clock[time] = virtual
+            live, previous = live + change[time], time
 
     coalesced_exact = tuple(
         CoalescedItem(
@@ -245,7 +251,10 @@ def adjust_log(log: EventLog) -> LogAdjustment:
             resource=item.resource,
             trace_id=item.trace_id,
             start=item.start,
-            end_exact=item.start + share_totals.get(item.id, Fraction(0)),
+            end_exact=item.start + (
+                clocks[item.resource][item.end]
+                - clocks[item.resource][item.start]
+            ),
         )
         for item in log.items
     )
@@ -254,11 +263,7 @@ def adjust_log(log: EventLog) -> LogAdjustment:
     coalesced = EventLog(
         tuple(c.to_work_item() for c in coalesced_exact), log.trace_index
     )
-    return LogAdjustment(
-        aux_by_resource=aux_by_resource,
-        coalesced_exact=coalesced_exact,
-        coalesced=coalesced,
-    )
+    return LogAdjustment(coalesced_exact, coalesced, source=log)
 
 
 def _format_number(value: Fraction) -> str:
@@ -275,7 +280,7 @@ def format_adjustment_table(log: EventLog) -> str:
     decimals.
     """
     lines: list[str] = []
-    for resource, points, intervals, shares in _swept_resources(log):
+    for resource, points, intervals in _swept_resources(log):
         point_text = ", ".join(
             f"({p.tstamp}, {p.wiid}, '{p.symbol}')" for p in points
         )
@@ -288,7 +293,7 @@ def format_adjustment_table(log: EventLog) -> str:
         share_text = ", ".join(
             f"({s.start}, {s.end}, '{s.parent_id}', "
             f"{_format_number(s.duration)})"
-            for s in shares
+            for s in build_aux_items(intervals)
         )
         lines.append(f"resource {resource}")
         lines.append(f"  points    = {{{point_text}}}")

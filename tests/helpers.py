@@ -4,7 +4,9 @@ The oracles deliberately avoid the library's sweep/pair machinery:
 fair-share and busy-time oracles enumerate unit time steps, metric
 oracles run explicit double loops over ordered pairs.  The all-pairs
 ``overlapped_pairs`` and tail-rescan ``find_adjacent_pairs`` are the
-straightforward quadratic versions the library's sweeps replaced.
+straightforward quadratic versions the library's sweeps replaced, and
+``coalesced_by_shares`` is the share-summing adjuster that the virtual
+clock replaced.
 """
 
 from __future__ import annotations
@@ -14,7 +16,19 @@ from fractions import Fraction
 from itertools import combinations
 
 from sweeplog.metrics import PairOverlap
-from sweeplog.model import EventLog, WorkItem, validate_log
+from sweeplog.model import (
+    EventLog,
+    ResourceSegment,
+    WorkItem,
+    segments_per_resource,
+    validate_log,
+)
+from sweeplog.sweep import (
+    CoalescedItem,
+    build_aux_items,
+    build_intervals,
+    build_time_points,
+)
 
 RESOURCE = "R1"
 
@@ -150,6 +164,46 @@ def adjacent_pairs_by_rescan(segment):
                 consumed.add(partner.id)
                 break
     return pairs
+
+
+def shares_by_resource(log: EventLog) -> dict:
+    """Every (interval, live item) share, per resource in name order.
+
+    Instantaneous items are left out; share ids run from 1 across the log.
+    """
+    shares = {}
+    next_id = 1
+    for segment in segments_per_resource(log):
+        swept = ResourceSegment(
+            segment.resource,
+            tuple(item for item in segment.items if item.end > item.start),
+        )
+        intervals = build_intervals(build_time_points(swept))
+        shares[segment.resource] = tuple(build_aux_items(intervals, next_id))
+        next_id += len(shares[segment.resource])
+    return shares
+
+
+def coalesced_by_shares(log: EventLog) -> tuple:
+    """Exact coalesced items: each item ends at its start plus the sum of
+    its shares, added one share at a time."""
+    totals = {}
+    for shares in shares_by_resource(log).values():
+        for share in shares:
+            totals[share.parent_id] = (
+                totals.get(share.parent_id, Fraction(0)) + share.duration
+            )
+    return tuple(
+        CoalescedItem(
+            id=item.id,
+            activity=item.activity,
+            resource=item.resource,
+            trace_id=item.trace_id,
+            start=item.start,
+            end_exact=item.start + totals.get(item.id, Fraction(0)),
+        )
+        for item in log.items
+    )
 
 
 def union_measure_by_unit_steps(items) -> int:

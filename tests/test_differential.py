@@ -1,17 +1,23 @@
-"""The pair sweeps against their quadratic references on adversarial logs.
+"""The sweeps against their quadratic references on adversarial logs.
 
 The acceptance corpus holds at most eight items with distinct spans; these
 logs add identical spans, tied starts, chained items, instantaneous items,
 epoch-scale timestamps, mixed int/str ids and up to 40 items per resource.
-The same logs check that ``adjust_log``'s coalesced log, built without a
-second validation, equals what validating it again would give.
+The same logs check that ``adjust_log``'s virtual clock gives exactly the
+share sums, that its shares are built only on request, that the ``aux``
+table's rows are those shares, and that the coalesced log, built without
+a second validation, equals what validating it again would give.
 """
 
+import csv
 import random
 
 import pytest
 
+from sweeplog import sweep
+from sweeplog.cli import run
 from sweeplog.inject import find_adjacent_pairs
+from sweeplog.logio import format_timestamp, read_csv, write_csv
 from sweeplog.metrics import (
     mtli,
     mtri,
@@ -20,18 +26,25 @@ from sweeplog.metrics import (
     overlapped_pairs,
     summarize,
 )
-from sweeplog.model import segments_per_resource, validate_log
+from sweeplog.model import (
+    round_half_up_ms,
+    segments_per_resource,
+    validate_log,
+)
 from sweeplog.sweep import adjust_log
 
 from helpers import (
     adjacent_pairs_by_rescan,
     adversarial_items,
+    coalesced_by_shares,
     make_log,
     mtli_by_double_loop,
     mtri_by_double_loop,
     mtri_overlapped_by_double_loop,
     mtwii_by_double_loop,
     overlapped_pairs_by_combinations,
+    random_segment_items,
+    shares_by_resource,
 )
 
 LOGS = 300
@@ -140,3 +153,57 @@ def test_coalesced_log_is_already_valid(logs):
     for log in logs:
         coalesced = adjust_log(log).coalesced
         assert validate_log(coalesced.items) == coalesced
+
+
+def test_virtual_clock_matches_share_sums(logs):
+    # Equal CoalescedItems have equal exact ends, so equal duration_exact.
+    for log in logs:
+        assert adjust_log(log).coalesced_exact == coalesced_by_shares(log)
+
+
+def test_virtual_clock_matches_share_sums_on_acceptance_corpus():
+    rng = random.Random(20_16)  # the corpus of tests/test_acceptance.py
+    for k in range(1000):
+        log = make_log(
+            random_segment_items(rng, max_items=8, t_max=200, tag=f"{k}-")
+        )
+        assert adjust_log(log).coalesced_exact == coalesced_by_shares(log)
+
+
+def test_shares_are_built_on_first_access(logs):
+    for log in logs:
+        adjusted = adjust_log(log)
+        assert "aux_by_resource" not in vars(adjusted)
+        expected = shares_by_resource(log)
+        assert adjusted.aux_by_resource == expected
+        assert adjusted.aux_by_resource is adjusted.aux_by_resource
+        ids = [share.id for share in adjusted.aux_items]
+        assert ids == list(range(1, len(ids) + 1))
+
+
+def test_adjust_and_aux_build_no_share(logs, tmp_path, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a share was built")
+
+    chosen = [log for log in logs if len(log) > 30][:10]
+    monkeypatch.setattr(sweep, "AuxWorkItem", forbidden)
+    for index, log in enumerate(chosen):
+        adjust_log(log)
+        write_csv(log, tmp_path / f"in{index}.csv")
+        for command in ("adjust", "aux"):
+            assert run([command, "--in", str(tmp_path / f"in{index}.csv"),
+                        "--out", str(tmp_path / f"{command}{index}.csv")]) == 0
+    monkeypatch.undo()
+
+    for index in range(len(chosen)):
+        log = read_csv(tmp_path / f"in{index}.csv")
+        shares, parents = adjust_log(log).aux_items, log.by_id()
+        with open(tmp_path / f"aux{index}.csv", newline="") as handle:
+            rows = list(csv.reader(handle))[1:]
+        assert rows == [
+            [str(s.id), str(s.parent_id), parents[s.parent_id].trace_id,
+             parents[s.parent_id].activity, parents[s.parent_id].resource,
+             format_timestamp(s.start), format_timestamp(s.end),
+             str(round_half_up_ms(s.duration))]
+            for s in shares
+        ]

@@ -73,6 +73,23 @@ class TestTimestamps:
         assert parse_timestamp("2016-04-01T09:00:00.001500Z") == base + 2
         assert parse_timestamp("2016-04-01T09:00:00.001400Z") == base + 1
 
+    # Python 3.10's fromisoformat reads only 3- or 6-digit fractions; every
+    # version must read these as 3.11 does: truncate below 1 us, then round
+    # half-up to the millisecond.
+    @pytest.mark.parametrize(
+        "fraction, ms",
+        [(".5Z", 500), (".12Z", 120), (".1234567+00:00", 123),
+         (".0004999Z", 0), (".9999999Z", 1000), (".0015Z", 2),
+         (".5+02:00", 500 - 2 * 3_600_000)],
+    )
+    def test_any_fraction_length(self, fraction, ms):
+        base = parse_timestamp("2021-01-01T08:15:00Z")
+        assert parse_timestamp("2021-01-01T08:15:00" + fraction) == base + ms
+
+    def test_bad_fraction_rejected(self):
+        with pytest.raises(LogFormatError):
+            parse_timestamp("2021-01-01T08:15:00.12x")
+
     def test_nonzero_offset(self):
         assert parse_timestamp("2016-04-01T11:00:00+02:00") == parse_timestamp(
             "2016-04-01T09:00:00Z"
