@@ -13,7 +13,6 @@ import argparse
 import csv
 import json
 import sys
-from pathlib import Path
 from typing import Optional, Sequence
 
 from .inject import inject
@@ -21,42 +20,28 @@ from .logio import (
     CSV_COLUMNS,
     LogFormatError,
     format_timestamp,
-    infer_format,
-    read_csv,
-    read_xes,
+    read_log,
     report_to_dict,
     write_log,
     write_report,
 )
 from .metrics import summarize
-from .model import EventLog, LogValidationError
+from .model import LogValidationError
 from .sweep import _swept_resources, adjust_log, format_adjustment_table
 
 AUX_COLUMNS = ("aux_id", "parent_id", *CSV_COLUMNS, "duration_ms")
 
 
-def _read_log(path: str, fmt: Optional[str]) -> EventLog:
-    resolved = fmt or infer_format(path)
-    if not Path(path).exists():
-        raise LogFormatError(f"{path}: no such file")
-    if resolved == "csv":
-        return read_csv(path)
-    if resolved == "xes":
-        return read_xes(path)
-    raise ValueError(f"unknown log format {resolved!r}, expected csv or xes")
-
-
 def _cmd_adjust(args: argparse.Namespace) -> int:
-    log = _read_log(args.input, args.format)
+    log = read_log(args.input, args.format)
     if args.debug_table:
         print(format_adjustment_table(log), file=sys.stderr)
-    write_log(adjust_log(log).coalesced, args.format or infer_format(args.out),
-              args.out)
+    write_log(adjust_log(log).coalesced, args.format, args.out)
     return 0
 
 
 def _cmd_aux(args: argparse.Namespace) -> int:
-    log = _read_log(args.input, args.format)
+    log = read_log(args.input, args.format)
     if args.debug_table:
         print(format_adjustment_table(log), file=sys.stderr)
     parents = log.by_id()
@@ -81,7 +66,7 @@ def _cmd_aux(args: argparse.Namespace) -> int:
 
 
 def _cmd_metrics(args: argparse.Namespace) -> int:
-    log = _read_log(args.input, args.format)
+    log = read_log(args.input, args.format)
     report = summarize(log)
     if args.report:
         write_report(report, args.report)
@@ -91,9 +76,9 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
 
 
 def _cmd_inject(args: argparse.Namespace) -> int:
-    log = _read_log(args.input, args.format)
+    log = read_log(args.input, args.format)
     shifted = inject(log, args.shift)
-    write_log(shifted, args.format or infer_format(args.out), args.out)
+    write_log(shifted, args.format, args.out)
     return 0
 
 

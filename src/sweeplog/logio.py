@@ -23,8 +23,7 @@ import csv
 import json
 import re
 import xml.etree.ElementTree as ET
-from dataclasses import dataclass
-from datetime import datetime, timedelta, timezone
+from datetime import date, datetime, time, timedelta, timezone
 from pathlib import Path
 from typing import Iterable, Union
 
@@ -51,15 +50,36 @@ class LogFormatError(ValueError):
     """Raised for malformed CSV/XES input, with file position context."""
 
 
-@dataclass(frozen=True)
-class _Record:
-    """One parsed work item, before ids exist."""
+# One parsed work item before ids exist: (trace_id, start, end, activity,
+# resource), so that a plain sort gives the canonical row order.
+_Row = tuple[str, int, int, str, str]
 
-    trace_id: str
-    activity: str
-    resource: str
-    start: int
-    end: int
+# Python 3.11's fromisoformat grammar, of which 3.10's reads only a part:
+# basic or week dates, HH[[:]MM[[:]SS]] times, a "." or "," fraction of
+# any length after any time field, offsets of HH[[:]MM[[:]SS[.f]]].
+_ISO_8601 = re.compile(
+    r"(?P<y>\d{4})(?:(?P<ds>-?)(?P<mo>\d\d)(?P=ds)(?P<d>\d\d)"
+    r"|(?P<ws>-?)W(?P<w>\d\d)(?:(?P=ws)(?P<wd>\d))?)"
+    r"(?:\D(?P<H>\d\d)(?:(?P<ts>:?)(?P<M>\d\d)(?:(?P=ts)(?P<S>\d\d))?)?"
+    r"(?:[.,](?P<f>\d+)|[.,](?=[+-]))?"  # 3.11 allows "." before an offset
+    r"(?:(?P<sign>[+-])(?P<oH>\d\d)(?:(?P<os>:?)(?P<oM>\d\d)"
+    r"(?:(?P=os)(?P<oS>\d\d)(?:[.,](?P<of>\d+))?)?)?)?)?", re.ASCII)
+
+
+def _parse_iso_8601(text: str) -> datetime:
+    match = _ISO_8601.fullmatch(text)
+    if match is None:
+        raise ValueError(f"not ISO 8601: {text!r}")
+    # Fractions keep whole microseconds, as fromisoformat's do.
+    num = {key: int(value.ljust(6, "0")[:6] if key in ("f", "of") else value)
+           for key, value in match.groupdict("0").items() if value.isdigit()}
+    day = (date.fromisocalendar(num["y"], num["w"], int(match["wd"] or 1))
+           if match["w"] else date(num["y"], num["mo"], num["d"]))
+    offset = timedelta(hours=num["oH"], minutes=num["oM"], seconds=num["oS"],
+                       microseconds=num["of"])
+    zone = timezone(-offset if match["sign"] == "-" else offset)
+    return datetime.combine(day, time(num["H"], num["M"], num["S"], num["f"]),
+                            zone if match["sign"] else None)
 
 
 def parse_timestamp(text: str) -> int:
@@ -75,10 +95,8 @@ def parse_timestamp(text: str) -> int:
         try:
             moment = datetime.fromisoformat(cleaned)
         except ValueError:
-            # 3.10 reads 3 or 6 digits only; 3.11+ pads or truncates to 6.
-            moment = datetime.fromisoformat(re.sub(
-                r"(?<=:\d\d\.)\d+", lambda m: f"{m[0]:0<6.6}", cleaned,
-                count=1))
+            # Python 3.10 reads only the forms isoformat() writes.
+            moment = _parse_iso_8601(cleaned)
     except ValueError as exc:
         raise LogFormatError(f"unparseable timestamp {text!r}") from exc
     if moment.tzinfo is None:
@@ -97,25 +115,14 @@ def format_timestamp(ms: int) -> str:
     return moment.isoformat(timespec="milliseconds")
 
 
-def _assemble(records: Iterable[_Record]) -> EventLog:
+def _assemble(rows: Iterable[_Row]) -> EventLog:
     # Ids are sequential in canonical row order, so identical inputs (and
     # re-read outputs) always get identical ids.
-    ordered = sorted(
-        records,
-        key=lambda r: (r.trace_id, r.start, r.end, r.activity, r.resource),
+    return validate_log(
+        WorkItem(seq, activity, resource, trace_id, start, end)
+        for seq, (trace_id, start, end, activity, resource)
+        in enumerate(sorted(rows), start=1)
     )
-    items = [
-        WorkItem(
-            id=seq,
-            activity=record.activity,
-            resource=record.resource,
-            trace_id=record.trace_id,
-            start=record.start,
-            end=record.end,
-        )
-        for seq, record in enumerate(ordered, start=1)
-    ]
-    return validate_log(items)
 
 
 def read_csv(path: PathLike) -> EventLog:
@@ -137,15 +144,17 @@ def read_csv(path: PathLike) -> EventLog:
                 f"{path}: malformed header {header!r}, "
                 f"expected {','.join(CSV_COLUMNS)}"
             )
-        records = []
+
+        def error(message: str) -> LogFormatError:
+            return LogFormatError(f"{path}: line {line_no}: {message}")
+
+        rows: list[_Row] = []
         for line_no, row in enumerate(reader, start=2):
             if not row:
                 continue
             if len(row) != len(CSV_COLUMNS):
-                raise LogFormatError(
-                    f"{path}: line {line_no}: expected "
-                    f"{len(CSV_COLUMNS)} fields, got {len(row)}"
-                )
+                raise error(f"expected {len(CSV_COLUMNS)} fields, "
+                            f"got {len(row)}")
             case_id, activity, resource, start_text, end_text = row
             column = "start_timestamp"
             try:
@@ -153,17 +162,13 @@ def read_csv(path: PathLike) -> EventLog:
                 column = "end_timestamp"
                 end = parse_timestamp(end_text)
             except LogFormatError as exc:
-                raise LogFormatError(
-                    f"{path}: line {line_no}, column {column}: {exc}"
-                ) from None
+                raise error(f"column {column}: {exc}") from None
             if end < start:
-                raise LogFormatError(
-                    f"{path}: line {line_no}: end timestamp precedes start"
-                )
-            records.append(
-                _Record(case_id, activity, resource, start, end)
-            )
-    return _assemble(records)
+                raise error("end timestamp precedes start")
+            if not activity or not resource:
+                raise error("empty activity or resource")
+            rows.append((case_id, start, end, activity, resource))
+    return _assemble(rows)
 
 
 def write_csv(log: EventLog, path: PathLike) -> None:
@@ -172,16 +177,11 @@ def write_csv(log: EventLog, path: PathLike) -> None:
     with path.open("w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
-        for item in log.items:
-            writer.writerow(
-                (
-                    item.trace_id,
-                    item.activity,
-                    item.resource,
-                    format_timestamp(item.start),
-                    format_timestamp(item.end),
-                )
-            )
+        writer.writerows(
+            (item.trace_id, item.activity, item.resource,
+             format_timestamp(item.start), format_timestamp(item.end))
+            for item in log.items
+        )
 
 
 def _local_name(tag: str) -> str:
@@ -189,12 +189,8 @@ def _local_name(tag: str) -> str:
 
 
 def _event_attributes(event: ET.Element) -> dict[str, str]:
-    values = {}
-    for child in event:
-        key = child.get("key")
-        if key is not None:
-            values[key] = child.get("value", "")
-    return values
+    return {child.get("key"): child.get("value", "") for child in event
+            if child.get("key") is not None}
 
 
 def read_xes(path: PathLike) -> EventLog:
@@ -211,21 +207,22 @@ def read_xes(path: PathLike) -> EventLog:
     except ET.ParseError as exc:
         raise LogFormatError(f"{path}: XML parse failure: {exc}") from exc
 
-    records: list[_Record] = []
+    def error(message: str, activity: str | None = None) -> LogFormatError:
+        where = f"trace {trace_id!r}"
+        if activity is not None:
+            where += f", activity {activity!r}"
+        return LogFormatError(f"{path}: {where}: {message}")
+
+    rows: list[_Row] = []
     trace_count = 0
     named_by_id: dict[str, bool] = {}
     for element in tree.getroot():
         if _local_name(element.tag) != "trace":
             continue
         trace_count += 1
-        trace_id = None
-        for child in element:
-            if (
-                _local_name(child.tag) != "event"
-                and child.get("key") == "concept:name"
-            ):
-                trace_id = child.get("value")
-                break
+        trace_id = next((child.get("value") for child in element
+                         if _local_name(child.tag) != "event"
+                         and child.get("key") == "concept:name"), None)
         named = trace_id is not None
         trace_id = trace_id if named else f"trace-{trace_count}"
         if named_by_id.setdefault(trace_id, named) != named:
@@ -242,44 +239,31 @@ def read_xes(path: PathLike) -> EventLog:
             resource = attrs.get("org:resource")
             transition = attrs.get("lifecycle:transition", "").lower()
             stamp_text = attrs.get("time:timestamp")
-            if activity is None or resource is None or stamp_text is None:
-                raise LogFormatError(
-                    f"{path}: trace {trace_id!r}: event missing "
-                    f"concept:name, org:resource, or time:timestamp"
-                )
+            if not activity or not resource or stamp_text is None:
+                raise error("event missing concept:name, org:resource, "
+                            "or time:timestamp")
             try:
                 stamp = parse_timestamp(stamp_text)
             except LogFormatError as exc:
-                raise LogFormatError(
-                    f"{path}: trace {trace_id!r}, activity {activity!r}: {exc}"
-                ) from None
+                raise error(str(exc), activity) from None
             key = (activity, resource)
             if transition == _TRANSITION_START:
                 open_starts.setdefault(key, []).append(stamp)
             elif transition == _TRANSITION_COMPLETE:
                 pending = open_starts.get(key)
                 if not pending:
-                    raise LogFormatError(
-                        f"{path}: trace {trace_id!r}: 'complete' for "
-                        f"activity {activity!r} without a prior start"
-                    )
+                    raise error("'complete' without a prior start", activity)
                 start = pending.pop(0)
-                records.append(
-                    _Record(trace_id, activity, resource, start, stamp)
-                )
+                if stamp < start:
+                    raise error("'complete' precedes its start", activity)
+                rows.append((trace_id, start, stamp, activity, resource))
             else:
-                raise LogFormatError(
-                    f"{path}: trace {trace_id!r}, activity {activity!r}: "
-                    f"unsupported lifecycle:transition "
-                    f"{attrs.get('lifecycle:transition')!r}"
-                )
+                raise error("unsupported lifecycle:transition "
+                            f"{attrs.get('lifecycle:transition')!r}", activity)
         for (activity, _), pending in open_starts.items():
             if pending:
-                raise LogFormatError(
-                    f"{path}: trace {trace_id!r}: 'start' for activity "
-                    f"{activity!r} without a matching complete"
-                )
-    return _assemble(records)
+                raise error("'start' without a matching complete", activity)
+    return _assemble(rows)
 
 
 def _string_attr(parent: ET.Element, key: str, value: str) -> None:
@@ -337,26 +321,39 @@ def write_xes(log: EventLog, path: PathLike) -> None:
     tree.write(path, encoding="utf-8", xml_declaration=True)
 
 
-def write_log(log: EventLog, fmt: str, path: PathLike) -> None:
-    """Write a log as ``csv`` or ``xes``."""
-    if fmt == "csv":
-        write_csv(log, path)
-    elif fmt == "xes":
-        write_xes(log, path)
-    else:
+# Format -> names of its reader and writer in this module, looked up per
+# call so that a function rebound here (by a tracer, say) is the one run.
+_FORMATS = {"csv": ("read_csv", "write_csv"), "xes": ("read_xes", "write_xes")}
+
+
+def _codec(fmt: str | None, path: PathLike) -> tuple[str, str]:
+    names = _FORMATS.get(fmt or infer_format(path))
+    if names is None:
         raise ValueError(f"unknown log format {fmt!r}, expected csv or xes")
+    return names
+
+
+def read_log(path: PathLike, fmt: str | None = None) -> EventLog:
+    """Read a ``csv`` or ``xes`` log; ``fmt`` defaults to the extension's."""
+    reader, _ = _codec(fmt, path)
+    if not Path(path).exists():
+        raise LogFormatError(f"{path}: no such file")
+    return globals()[reader](path)
+
+
+def write_log(log: EventLog, fmt: str | None, path: PathLike) -> None:
+    """Write a log as ``csv`` or ``xes``; ``None`` means the extension's."""
+    _, writer = _codec(fmt, path)
+    globals()[writer](log, path)
 
 
 def infer_format(path: PathLike) -> str:
     """Derive the log format from a file extension."""
-    suffix = Path(path).suffix.lower()
-    if suffix == ".csv":
-        return "csv"
-    if suffix == ".xes":
-        return "xes"
-    raise ValueError(
-        f"cannot infer log format from {path!r}; pass the format explicitly"
-    )
+    fmt = Path(path).suffix.lower()[1:]
+    if fmt not in _FORMATS:
+        raise ValueError(f"cannot infer log format from {path!r}; "
+                         "pass the format explicitly")
+    return fmt
 
 
 def _sig6(value: float) -> float:

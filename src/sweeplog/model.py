@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Union
 
 WorkItemId = Union[int, str]
@@ -66,12 +67,18 @@ class WorkItem:
 class EventLog:
     """A validated, deterministically ordered collection of work items.
 
-    ``trace_index`` maps each case identifier to its item ids in start
-    order; every referenced id is present in ``items``.
+    ``items`` is the only field; ``trace_index`` is derived from it.
     """
 
     items: tuple[WorkItem, ...]
-    trace_index: Mapping[str, tuple[WorkItemId, ...]]
+
+    @cached_property
+    def trace_index(self) -> Mapping[str, tuple[WorkItemId, ...]]:
+        """Each case identifier's item ids, in log (start) order."""
+        trace_ids: dict[str, list[WorkItemId]] = {}
+        for item in self.items:
+            trace_ids.setdefault(item.trace_id, []).append(item.id)
+        return {trace: tuple(ids) for trace, ids in trace_ids.items()}
 
     def __len__(self) -> int:
         return len(self.items)
@@ -103,7 +110,7 @@ def validate_log(raw_items: Iterable[WorkItem]) -> EventLog:
     """Check raw work items and assemble an :class:`EventLog`.
 
     Items are ordered by (trace id, start, id) so identical inputs always
-    produce identical logs.
+    produce identical logs.  Ids compare as text, so id 10 sorts before 9.
 
     Raises:
         LogValidationError: listing every item whose end precedes its
@@ -126,20 +133,22 @@ def validate_log(raw_items: Iterable[WorkItem]) -> EventLog:
     if problems:
         raise LogValidationError(problems)
     del first_index  # free its keys before the sort makes its own
+    return _ordered(items)
 
-    ordered = sorted(items, key=lambda w: (w.trace_id, w.start, _id_key(w.id)))
-    trace_ids: dict[str, list[WorkItemId]] = {}
-    for item in ordered:
-        trace_ids.setdefault(item.trace_id, []).append(item.id)
-    trace_index = {trace: tuple(ids) for trace, ids in trace_ids.items()}
-    return EventLog(items=tuple(ordered), trace_index=trace_index)
+
+def _ordered(items: Iterable[WorkItem]) -> EventLog:
+    # The order of validate_log, for items already known to pass its checks.
+    return EventLog(tuple(
+        sorted(items, key=lambda w: (w.trace_id, w.start, _id_key(w.id)))
+    ))
 
 
 def segments_per_resource(log: EventLog) -> list[ResourceSegment]:
     """Partition a log into one segment per resource.
 
     Every work item lands in exactly one segment; segments are returned
-    sorted by resource name and their items by (start, end, id).
+    sorted by resource name and their items by (start, end, id).  Ids
+    compare as text, so id 10 sorts before 9.
     """
     grouped: dict[str, list[WorkItem]] = {}
     for item in log.items:

@@ -259,10 +259,8 @@ def adjust_log(log: EventLog) -> LogAdjustment:
         for item in log.items
     )
     # Ids, trace ids and starts come from a validated log and no end falls
-    # below its start, so validating again could change no order or index.
-    coalesced = EventLog(
-        tuple(c.to_work_item() for c in coalesced_exact), log.trace_index
-    )
+    # below its start, so validating again could change no order.
+    coalesced = EventLog(tuple(c.to_work_item() for c in coalesced_exact))
     return LogAdjustment(coalesced_exact, coalesced, source=log)
 
 

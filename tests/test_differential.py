@@ -5,8 +5,9 @@ logs add identical spans, tied starts, chained items, instantaneous items,
 epoch-scale timestamps, mixed int/str ids and up to 40 items per resource.
 The same logs check that ``adjust_log``'s virtual clock gives exactly the
 share sums, that its shares are built only on request, that the ``aux``
-table's rows are those shares, and that the coalesced log, built without
-a second validation, equals what validating it again would give.
+table's rows are those shares, and that the coalesced and the injected
+logs, built without a second validation, equal what validating them
+again would give.
 """
 
 import csv
@@ -16,7 +17,7 @@ import pytest
 
 from sweeplog import sweep
 from sweeplog.cli import run
-from sweeplog.inject import find_adjacent_pairs
+from sweeplog.inject import find_adjacent_pairs, inject
 from sweeplog.logio import format_timestamp, read_csv, write_csv
 from sweeplog.metrics import (
     mtli,
@@ -153,6 +154,16 @@ def test_coalesced_log_is_already_valid(logs):
     for log in logs:
         coalesced = adjust_log(log).coalesced
         assert validate_log(coalesced.items) == coalesced
+
+
+@pytest.mark.parametrize("percentage", [0, 0.1, 0.5, 1])
+def test_injected_log_is_already_valid(logs, percentage):
+    shifted = 0
+    for log in logs:
+        out = inject(log, percentage)
+        assert validate_log(out.items) == out
+        shifted += out != log
+    assert shifted == 0 if percentage == 0 else shifted > LOGS // 2
 
 
 def test_virtual_clock_matches_share_sums(logs):

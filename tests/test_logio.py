@@ -1,4 +1,6 @@
-from itertools import permutations
+import sys
+from datetime import datetime
+from itertools import permutations, product
 
 import pytest
 
@@ -9,7 +11,9 @@ from sweeplog.logio import (
     infer_format,
     parse_timestamp,
     read_csv,
+    read_log,
     read_xes,
+    _parse_iso_8601,
     report_to_dict,
     write_csv,
     write_log,
@@ -86,6 +90,48 @@ class TestTimestamps:
         base = parse_timestamp("2021-01-01T08:15:00Z")
         assert parse_timestamp("2021-01-01T08:15:00" + fraction) == base + ms
 
+    # Forms 3.11's fromisoformat reads and 3.10's does not: basic format,
+    # comma decimal mark, HHMM, week date, offset without a colon.
+    @pytest.mark.parametrize(
+        "text, ms",
+        [("20210101T081500Z", 1609488900000),
+         ("2021-01-01T08:15:00,5Z", 1609488900500),
+         ("2021-01-01T0815Z", 1609488900000),
+         ("2021-W01-5T08:15:00Z", 1610093700000),
+         ("2021-01-01T08:15:00.5+0100", 1609485300500)],
+    )
+    def test_iso_8601_forms_beyond_isoformat(self, text, ms):
+        assert parse_timestamp(text) == ms
+
+    # Python 3.10 reaches the fallback parser on each of the forms above;
+    # 3.11+ never does, so it is compared with 3.11's parser directly,
+    # malformed variants included.
+    @pytest.mark.skipif(sys.version_info < (3, 11),
+                        reason="fromisoformat reads ISO 8601 from 3.11 on")
+    def test_fallback_parser_matches_fromisoformat(self):
+        dates = ("2021-01-01", "20210101", "2021-W01", "2021W015",
+                 "2020-W53-7", "2021-W53-1", "2021-W01-0", "2021-0101",
+                 "2021W01-5", "2021-02-30")
+        times = ("", " 08", "T0815", "T08:15", "T081530", "T08:15:30",
+                 "T08:1530", "T24:00")
+        fractions = ("", ".5", ",5", ".1234567", ".", ".1x")
+        offsets = ("", "+00:00", "+01", "-0530", "+01:00:30.5", "+010030,25",
+                   "+1", "+24:00")
+        for date, time, fraction, offset in product(dates, times, fractions,
+                                                    offsets):
+            if not time and (fraction or offset):
+                continue
+            text = date + time + fraction + offset
+            try:
+                expected = datetime.fromisoformat(text)
+            except ValueError:
+                with pytest.raises(ValueError):
+                    _parse_iso_8601(text)
+            else:
+                actual = _parse_iso_8601(text)
+                assert (actual, actual.utcoffset()) == (
+                    expected, expected.utcoffset()), text
+
     def test_bad_fraction_rejected(self):
         with pytest.raises(LogFormatError):
             parse_timestamp("2021-01-01T08:15:00.12x")
@@ -160,6 +206,19 @@ class TestReadCsv:
             encoding="utf-8",
         )
         with pytest.raises(LogFormatError, match="line 2"):
+            read_csv(path)
+
+    @pytest.mark.parametrize("activity, resource", [("T1", ""), ("", "R1")])
+    def test_empty_activity_or_resource_names_line(self, tmp_path, activity,
+                                                   resource):
+        path = tmp_path / "bad.csv"
+        path.write_text(
+            ",".join(CSV_COLUMNS) + "\nc1,T1,R1,2016-04-01T09:00:00Z,"
+            f"2016-04-01T10:00:00Z\nc1,{activity},{resource},"
+            "2016-04-01T10:00:00Z,2016-04-01T11:00:00Z\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(LogFormatError, match="line 3: empty activity"):
             read_csv(path)
 
     def test_short_row(self, tmp_path):
@@ -294,6 +353,30 @@ class TestReadXes:
         with pytest.raises(LogFormatError, match="c9.*T1"):
             read_xes(path)
 
+    def test_complete_before_start_names_trace_and_activity(self, tmp_path):
+        path = tmp_path / "bad.xes"
+        path.write_text(
+            xes_text([("c9", [xes_event("T1", "R1", "start", stamp(60)),
+                              xes_event("T1", "R1", "complete", stamp(0))])]),
+            encoding="utf-8",
+        )
+        with pytest.raises(LogFormatError,
+                           match="trace 'c9', activity 'T1': 'complete' prec"):
+            read_xes(path)
+
+    @pytest.mark.parametrize("activity, resource", [("T1", ""), ("", "R1")])
+    def test_empty_name_or_resource_is_missing(self, tmp_path, activity,
+                                               resource):
+        path = tmp_path / "bad.xes"
+        path.write_text(
+            xes_text([("c9", [xes_event(activity, resource, "start", stamp(0)),
+                              xes_event(activity, resource, "complete",
+                                        stamp(5))])]),
+            encoding="utf-8",
+        )
+        with pytest.raises(LogFormatError, match="c9.*event missing"):
+            read_xes(path)
+
     def test_unknown_transition(self, tmp_path):
         path = tmp_path / "bad.xes"
         path.write_text(
@@ -423,6 +506,33 @@ class TestWriteLog:
         assert infer_format("log.XES") == "xes"
         with pytest.raises(ValueError):
             infer_format("log.txt")
+
+
+class TestReadLog:
+    def test_format_from_extension(self, tmp_path):
+        log = make_log([wi(1, 0, MINUTE)])
+        write_log(log, None, tmp_path / "a.csv")
+        write_log(log, None, tmp_path / "a.XES")
+        assert read_log(tmp_path / "a.csv") == log
+        assert read_log(tmp_path / "a.XES") == log
+
+    def test_explicit_format_beats_extension(self, tmp_path):
+        log = make_log([wi(1, 0, MINUTE)])
+        write_xes(log, tmp_path / "a.csv")
+        assert read_log(tmp_path / "a.csv", "xes") == log
+        with pytest.raises(LogFormatError):
+            read_log(tmp_path / "a.csv")
+
+    def test_unknown_format(self, tmp_path):
+        write_csv(make_log([]), tmp_path / "a.csv")
+        with pytest.raises(ValueError, match="format"):
+            read_log(tmp_path / "a.csv", "parquet")
+        with pytest.raises(ValueError, match="format"):
+            read_log(tmp_path / "a.txt")
+
+    def test_missing_file(self, tmp_path):
+        with pytest.raises(LogFormatError, match="no such file"):
+            read_log(tmp_path / "absent.csv")
 
 
 class TestReports:
