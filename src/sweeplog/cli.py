@@ -11,22 +11,21 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import sys
 from typing import Optional, Sequence
 
 from .inject import inject
 from .logio import (
     CSV_COLUMNS,
-    LogFormatError,
+    FORMATS,
     format_timestamp,
     read_log,
-    report_to_dict,
+    report_to_json,
     write_log,
     write_report,
 )
 from .metrics import summarize
-from .model import LogValidationError
+from .model import _round_half_up
 from .sweep import _swept_resources, adjust_log, format_adjustment_table
 
 AUX_COLUMNS = ("aux_id", "parent_id", *CSV_COLUMNS, "duration_ms")
@@ -55,7 +54,7 @@ def _cmd_aux(args: argparse.Namespace) -> int:
                 live = len(interval.active_ids)
                 start = format_timestamp(interval.start)
                 end = format_timestamp(interval.end)
-                portion = (2 * interval.span + live) // (2 * live)
+                portion = _round_half_up(interval.span, live)
                 for wiid in interval.active_ids:
                     aux_id += 1
                     parent = parents[wiid]
@@ -71,7 +70,7 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     if args.report:
         write_report(report, args.report)
     else:
-        print(json.dumps(report_to_dict(report), indent=2, sort_keys=True))
+        print(report_to_json(report))
     return 0
 
 
@@ -98,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
         if needs_out:
             sub.add_argument("--out", required=True, metavar="PATH",
                              help="output file")
-        sub.add_argument("--format", choices=("csv", "xes"),
+        sub.add_argument("--format", choices=FORMATS,
                          help="log format (default: from file extension)")
 
     for name, handler, summary in (
@@ -139,7 +138,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.handler(args)
-    except (LogFormatError, LogValidationError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # LogFormatError is a ValueError
         print(f"sweeplog: error: {exc}", file=sys.stderr)
         return 1
 

@@ -28,7 +28,7 @@ from pathlib import Path
 from typing import Iterable, Union
 
 from .metrics import MetricsReport
-from .model import EventLog, WorkItem, validate_log
+from .model import EventLog, WorkItem, _id_key, _ordered, _round_half_up
 
 PathLike = Union[str, Path]
 
@@ -39,6 +39,8 @@ CSV_COLUMNS = (
     "start_timestamp",
     "end_timestamp",
 )
+
+FORMATS = ("csv", "xes")
 
 _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 
@@ -82,20 +84,31 @@ def _parse_iso_8601(text: str) -> datetime:
                             zone if match["sign"] else None)
 
 
+# The shape fromisoformat reads as _parse_iso_8601 does on every version.
+# Elsewhere 3.11+ misreads: "T1234567+01:00" and "T12:34:567+01:00" as
+# 12:34:56, "T12345+01:00" as 12:34, and a "+01:00.5" offset fraction.
+_PLAIN_ISO = re.compile(
+    r"\d{4}-\d\d-\d\d[T ]\d\d:\d\d:\d\d(?:[.,]\d+)?(?:[+-]\d\d:\d\d)?",
+    re.ASCII)
+
+
 def parse_timestamp(text: str) -> int:
     """Parse an ISO-8601 timestamp to epoch milliseconds.
 
     Accepts optional fractional seconds and UTC offset; a trailing ``Z``
-    and missing offsets (read as UTC) are tolerated.
+    and missing offsets (read as UTC) are tolerated.  Every Python reads
+    exactly the forms Python 3.11's ``fromisoformat`` reads correctly.
     """
     cleaned = text.strip()
     if cleaned.endswith(("Z", "z")):
         cleaned = cleaned[:-1] + "+00:00"
     try:
         try:
+            if _PLAIN_ISO.fullmatch(cleaned) is None:
+                raise ValueError(cleaned)
             moment = datetime.fromisoformat(cleaned)
         except ValueError:
-            # Python 3.10 reads only the forms isoformat() writes.
+            # Another shape, or one Python 3.10's fromisoformat cannot read.
             moment = _parse_iso_8601(cleaned)
     except ValueError as exc:
         raise LogFormatError(f"unparseable timestamp {text!r}") from exc
@@ -105,7 +118,7 @@ def parse_timestamp(text: str) -> int:
     return (
         delta.days * 86_400_000
         + delta.seconds * 1_000
-        + (delta.microseconds + 500) // 1_000
+        + _round_half_up(delta.microseconds, 1_000)
     )
 
 
@@ -116,9 +129,9 @@ def format_timestamp(ms: int) -> str:
 
 
 def _assemble(rows: Iterable[_Row]) -> EventLog:
-    # Ids are sequential in canonical row order, so identical inputs (and
-    # re-read outputs) always get identical ids.
-    return validate_log(
+    # Ids are sequential in canonical row order, so re-reads get identical
+    # ids.  Every row a reader appends already meets validate_log's rules.
+    return _ordered(
         WorkItem(seq, activity, resource, trace_id, start, end)
         for seq, (trace_id, start, end, activity, resource)
         in enumerate(sorted(rows), start=1)
@@ -165,8 +178,8 @@ def read_csv(path: PathLike) -> EventLog:
                 raise error(f"column {column}: {exc}") from None
             if end < start:
                 raise error("end timestamp precedes start")
-            if not activity or not resource:
-                raise error("empty activity or resource")
+            if not activity or not resource or not case_id:
+                raise error("empty activity, resource or case_id")
             rows.append((case_id, start, end, activity, resource))
     return _assemble(rows)
 
@@ -223,7 +236,7 @@ def read_xes(path: PathLike) -> EventLog:
         trace_id = next((child.get("value") for child in element
                          if _local_name(child.tag) != "event"
                          and child.get("key") == "concept:name"), None)
-        named = trace_id is not None
+        named = bool(trace_id)
         trace_id = trace_id if named else f"trace-{trace_count}"
         if named_by_id.setdefault(trace_id, named) != named:
             raise LogFormatError(
@@ -301,7 +314,7 @@ def write_xes(log: EventLog, path: PathLike) -> None:
         _string_attr(trace, "concept:name", trace_id)
         events: list[tuple[int, WorkItem, str]] = []
         for item in sorted(
-            by_trace[trace_id], key=lambda w: (w.start, w.end, str(w.id))
+            by_trace[trace_id], key=lambda w: (w.start, w.end, _id_key(w.id))
         ):
             events.append((item.start, item, _TRANSITION_START))
             events.append((item.end, item, _TRANSITION_COMPLETE))
@@ -321,36 +334,35 @@ def write_xes(log: EventLog, path: PathLike) -> None:
     tree.write(path, encoding="utf-8", xml_declaration=True)
 
 
-# Format -> names of its reader and writer in this module, looked up per
-# call so that a function rebound here (by a tracer, say) is the one run.
-_FORMATS = {"csv": ("read_csv", "write_csv"), "xes": ("read_xes", "write_xes")}
-
-
-def _codec(fmt: str | None, path: PathLike) -> tuple[str, str]:
-    names = _FORMATS.get(fmt or infer_format(path))
-    if names is None:
+def _format(fmt: str | None, path: PathLike) -> str:
+    fmt = fmt or infer_format(path)
+    if fmt not in FORMATS:
         raise ValueError(f"unknown log format {fmt!r}, expected csv or xes")
-    return names
+    return fmt
 
 
 def read_log(path: PathLike, fmt: str | None = None) -> EventLog:
-    """Read a ``csv`` or ``xes`` log; ``fmt`` defaults to the extension's."""
-    reader, _ = _codec(fmt, path)
-    if not Path(path).exists():
-        raise LogFormatError(f"{path}: no such file")
-    return globals()[reader](path)
+    """Read a ``csv`` or ``xes`` log; ``fmt`` defaults to the extension's.
+
+    A missing file raises :class:`LogFormatError` ("no such file").
+    """
+    reader = read_csv if _format(fmt, path) == "csv" else read_xes
+    try:
+        return reader(path)
+    except FileNotFoundError:
+        raise LogFormatError(f"{path}: no such file") from None
 
 
 def write_log(log: EventLog, fmt: str | None, path: PathLike) -> None:
     """Write a log as ``csv`` or ``xes``; ``None`` means the extension's."""
-    _, writer = _codec(fmt, path)
-    globals()[writer](log, path)
+    writer = write_csv if _format(fmt, path) == "csv" else write_xes
+    writer(log, path)
 
 
 def infer_format(path: PathLike) -> str:
     """Derive the log format from a file extension."""
     fmt = Path(path).suffix.lower()[1:]
-    if fmt not in _FORMATS:
+    if fmt not in FORMATS:
         raise ValueError(f"cannot infer log format from {path!r}; "
                          "pass the format explicitly")
     return fmt
@@ -376,9 +388,11 @@ def report_to_dict(report: MetricsReport) -> dict[str, object]:
     return flat
 
 
+def report_to_json(report: MetricsReport) -> str:
+    """The flat JSON key/value text of a report, keys sorted."""
+    return json.dumps(report_to_dict(report), indent=2, sort_keys=True)
+
+
 def write_report(report: MetricsReport, path: PathLike) -> None:
     """Write a metrics report as a flat JSON key/value document."""
-    Path(path).write_text(
-        json.dumps(report_to_dict(report), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
+    Path(path).write_text(report_to_json(report) + "\n", encoding="utf-8")

@@ -32,10 +32,14 @@ class LogValidationError(ValueError):
         )
 
 
+def _round_half_up(num: int, den: int) -> int:
+    # num / den rounded to an integer, halves up, in integer arithmetic.
+    return (2 * num + den) // (2 * den)
+
+
 def round_half_up_ms(value: Fraction) -> int:
     """Round a rational millisecond value to a whole millisecond, halves up."""
-    num, den = value.numerator, value.denominator
-    return (2 * num + den) // (2 * den)
+    return _round_half_up(value.numerator, value.denominator)
 
 
 def _id_key(item_id: WorkItemId) -> str:
@@ -107,15 +111,17 @@ class ResourceSegment:
 
 
 def validate_log(raw_items: Iterable[WorkItem]) -> EventLog:
-    """Check raw work items and assemble an :class:`EventLog`.
+    """Check work items built by the caller and assemble an :class:`EventLog`.
 
+    The file readers check their rows themselves and do not call this.
     Items are ordered by (trace id, start, id) so identical inputs always
     produce identical logs.  Ids compare as text, so id 10 sorts before 9.
 
     Raises:
         LogValidationError: listing every item whose end precedes its
-            start, that lacks a resource or activity, or whose id repeats
-            (ids such as 1 and "1" share a sort key, so they count as one).
+            start, that lacks a resource, activity or trace id, or whose id
+            repeats (ids such as 1 and "1" share a sort key, so they count
+            as one).
     """
     items = list(raw_items)
     problems: list[str] = []
@@ -128,6 +134,8 @@ def validate_log(raw_items: Iterable[WorkItem]) -> EventLog:
             problems.append(f"item {item.id!r}: missing resource")
         if not item.activity:
             problems.append(f"item {item.id!r}: missing activity")
+        if not item.trace_id:
+            problems.append(f"item {item.id!r}: missing trace id")
         if first_index.setdefault(_id_key(item.id), index) != index:
             problems.append(f"item {item.id!r}: duplicate id")
     if problems:

@@ -1,10 +1,21 @@
 import csv
 import json
+import sys
+from pathlib import Path
 
 import pytest
 
-from sweeplog.cli import run
-from sweeplog.logio import read_csv, read_xes
+from sweeplog import model
+from sweeplog.cli import main, run
+from sweeplog.logio import (
+    read_csv,
+    read_log,
+    read_xes,
+    report_to_json,
+    write_log,
+)
+from sweeplog.metrics import summarize
+from sweeplog.sweep import format_adjustment_table
 
 from helpers import FOUR_TASK_CSV
 
@@ -87,6 +98,19 @@ class TestAux:
             150 * MINUTE, abs=4
         )
 
+    def test_debug_table_on_stderr_leaves_the_table(self, four_csv, tmp_path,
+                                                   capsys):
+        plain, debug = tmp_path / "plain.csv", tmp_path / "debug.csv"
+        assert run(["aux", "--in", str(four_csv), "--out", str(plain)]) == 0
+        capsys.readouterr()
+        assert run(["aux", "--in", str(four_csv), "--out", str(debug),
+                    "--debug-table"]) == 0
+        captured = capsys.readouterr()
+        table = format_adjustment_table(read_csv(four_csv))
+        assert captured.err == table + "\n"
+        assert captured.out == ""
+        assert debug.read_bytes() == plain.read_bytes()
+
 
 class TestMetrics:
     def test_stdout_report(self, clean_csv, capsys):
@@ -102,6 +126,17 @@ class TestMetrics:
         ) == 0
         data = json.loads(report_path.read_text(encoding="utf-8"))
         assert data["mtwii"] == pytest.approx(0.367133, abs=5e-7)
+
+    def test_stdout_and_file_carry_the_same_text(self, four_csv, tmp_path,
+                                                 capsys):
+        report_path = tmp_path / "report.json"
+        assert run(["metrics", "--in", str(four_csv)]) == 0
+        printed = capsys.readouterr().out
+        assert run(
+            ["metrics", "--in", str(four_csv), "--report", str(report_path)]
+        ) == 0
+        assert report_path.read_text(encoding="utf-8") == printed
+        assert printed == report_to_json(summarize(read_csv(four_csv))) + "\n"
 
 
 class TestInject:
@@ -186,3 +221,52 @@ class TestFormatOverride:
              "--out", str(out)]
         ) == 0
         assert len(read_csv(out)) == 4
+
+
+class TestMain:
+    @pytest.mark.parametrize("name, status", [("clean.csv", 0),
+                                              ("absent.csv", 1)])
+    def test_exits_with_the_run_status(self, clean_csv, monkeypatch, capsys,
+                                       name, status):
+        path = clean_csv.parent / name
+        monkeypatch.setattr(sys, "argv", ["sweeplog", "metrics", "--in",
+                                          str(path)])
+        with pytest.raises(SystemExit) as exited:
+            main()
+        assert exited.value.code == status
+        assert run(["metrics", "--in", str(path)]) == status
+
+
+class TestReadersAreTheOnlyCheck:
+    def test_no_path_calls_validate_log(self, four_csv, tmp_path,
+                                        monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("validate_log called on a file log")
+
+        original = model.validate_log
+        bound = []
+        for name, module in list(sys.modules.items()):
+            if name == "sweeplog" or name.startswith("sweeplog."):
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, refuse)
+                        bound.append(f"{name}.{attr}")
+        assert "sweeplog.model.validate_log" in bound
+
+        log = read_log(four_csv)
+        four_xes = tmp_path / "four.xes"
+        write_log(log, None, four_xes)
+        assert read_log(four_xes) == log
+        for source in (four_csv, four_xes):
+            for argv in (["adjust", "--out", str(tmp_path / "a.csv")],
+                         ["aux", "--out", str(tmp_path / "aux.csv")],
+                         ["metrics"],
+                         ["inject", "--shift", "0.1",
+                          "--out", str(tmp_path / "i.xes")]):
+                assert run([*argv, "--in", str(source)]) == 0
+
+
+def test_checked_in_fixture_is_the_four_task_log(four_csv):
+    # tests/data/four_tasks.csv is the input CI gives the installed script.
+    fixture = Path(__file__).parent / "data" / "four_tasks.csv"
+    assert read_csv(fixture) == read_csv(four_csv)

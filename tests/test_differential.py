@@ -18,7 +18,13 @@ import pytest
 from sweeplog import sweep
 from sweeplog.cli import run
 from sweeplog.inject import find_adjacent_pairs, inject
-from sweeplog.logio import format_timestamp, read_csv, write_csv
+from sweeplog.logio import (
+    format_timestamp,
+    read_csv,
+    read_log,
+    write_csv,
+    write_log,
+)
 from sweeplog.metrics import (
     mtli,
     mtri,
@@ -218,3 +224,15 @@ def test_adjust_and_aux_build_no_share(logs, tmp_path, monkeypatch):
              str(round_half_up_ms(s.duration))]
             for s in shares
         ]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "xes"])
+def test_logs_read_back_pass_validation_unchanged(logs, tmp_path, fmt):
+    # The readers are the only check on a file log: what they return must
+    # be what validating it again would give.
+    path = tmp_path / f"log.{fmt}"
+    for log in logs:
+        write_log(log, None, path)
+        read = read_log(path)
+        assert len(read) == len(log)
+        assert validate_log(read.items) == read

@@ -1,5 +1,5 @@
 import sys
-from datetime import datetime
+from datetime import datetime, timedelta, timezone
 from itertools import permutations, product
 
 import pytest
@@ -15,6 +15,7 @@ from sweeplog.logio import (
     read_xes,
     _parse_iso_8601,
     report_to_dict,
+    report_to_json,
     write_csv,
     write_log,
     write_report,
@@ -132,6 +133,45 @@ class TestTimestamps:
                 assert (actual, actual.utcoffset()) == (
                     expected, expected.utcoffset()), text
 
+    # 3.11+'s C fromisoformat reads these as 12:34:56 (the first two),
+    # 12:34 and an offset of 01:00:00.5; they are not ISO 8601.
+    @pytest.mark.parametrize(
+        "text",
+        ["2021-01-01T1234567+01:00", "2021-01-01T12:34:567+01:00",
+         "2021-01-01T12345+01:00", "2021-01-01T12:34:56+01:00.5"],
+    )
+    def test_misread_forms_rejected(self, text):
+        with pytest.raises(LogFormatError):
+            parse_timestamp(text)
+
+    # On every Python version parse_timestamp reads exactly the strings the
+    # fallback parser reads, as the same instant.
+    def test_reads_exactly_the_fallback_language(self):
+        dates = ("2021-01-01", "20210101", "2021-W01", "2021W015",
+                 "2020-W53-7", "2021-W53-1", "2021-W01-0", "2021-0101",
+                 "2021W01-5", "2021-02-30")
+        times = ("", " 08", "T0815", "T08:15", "T081530", "T08:15:30",
+                 "T08:1530", "T24:00", "T12345", "T1234567", "T12:34:567")
+        fractions = ("", ".5", ",5", ".1234567", ".", ".1x")
+        offsets = ("", "+00:00", "+01", "-0530", "+01:00:30.5", "+010030,25",
+                   "+1", "+24:00", "+01:00.5")
+        epoch = datetime(1970, 1, 1, tzinfo=timezone.utc)
+        for date, time, fraction, offset in product(dates, times, fractions,
+                                                    offsets):
+            if not time and (fraction or offset):
+                continue
+            text = date + time + fraction + offset
+            try:
+                moment = _parse_iso_8601(text)
+            except ValueError:
+                with pytest.raises(LogFormatError):
+                    parse_timestamp(text)
+                continue
+            if moment.tzinfo is None:
+                moment = moment.replace(tzinfo=timezone.utc)
+            micros = (moment - epoch) // timedelta(microseconds=1)
+            assert parse_timestamp(text) == (micros + 500) // 1000, text
+
     def test_bad_fraction_rejected(self):
         with pytest.raises(LogFormatError):
             parse_timestamp("2021-01-01T08:15:00.12x")
@@ -220,6 +260,29 @@ class TestReadCsv:
         )
         with pytest.raises(LogFormatError, match="line 3: empty activity"):
             read_csv(path)
+
+    def test_empty_case_id_names_line(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text(
+            ",".join(CSV_COLUMNS) + "\nc1,T1,R1,2016-04-01T09:00:00Z,"
+            "2016-04-01T10:00:00Z\n,T1,R1,2016-04-01T10:00:00Z,"
+            "2016-04-01T11:00:00Z\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(LogFormatError, match="line 3: empty .*case_id"):
+            read_csv(path)
+
+    def test_blank_lines_skipped_but_counted(self, tmp_path):
+        row = "c1,T1,R1,2016-04-01T09:00:00Z,2016-04-01T10:00:00Z\n"
+        header = ",".join(CSV_COLUMNS) + "\n"
+        plain, spaced = tmp_path / "plain.csv", tmp_path / "spaced.csv"
+        plain.write_text(header + row, encoding="utf-8")
+        spaced.write_text(header + "\n" + row + "\n\n", encoding="utf-8")
+        assert read_csv(spaced) == read_csv(plain)
+        spaced.write_text(header + "\n" + row + "\nc1,T2,R1,noon,noon\n",
+                          encoding="utf-8")
+        with pytest.raises(LogFormatError, match="line 5: column start"):
+            read_csv(spaced)
 
     def test_short_row(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -423,6 +486,16 @@ class TestReadXes:
         )
         assert set(read_xes(path).trace_index) == {"trace-1", "c1", "trace-3"}
 
+    def test_empty_trace_name_is_missing(self, tmp_path):
+        events = [
+            xes_event("T1", "R1", "start", stamp(0)),
+            xes_event("T1", "R1", "complete", stamp(10)),
+        ]
+        path = tmp_path / "empty-name.xes"
+        path.write_text(xes_text([("c1", events), ("", events)]),
+                        encoding="utf-8")
+        assert set(read_xes(path).trace_index) == {"c1", "trace-2"}
+
     def test_generated_trace_name_may_not_match_a_named_trace(self, tmp_path):
         events = [
             xes_event("T1", "R1", "start", stamp(0)),
@@ -534,6 +607,10 @@ class TestReadLog:
         with pytest.raises(LogFormatError, match="no such file"):
             read_log(tmp_path / "absent.csv")
 
+    def test_missing_xes_file(self, tmp_path):
+        with pytest.raises(LogFormatError, match="absent.xes: no such file"):
+            read_log(tmp_path / "absent.xes")
+
 
 class TestReports:
     def test_four_task_report_keys_and_rounding(self, tmp_path):
@@ -577,6 +654,17 @@ class TestReports:
         assert data["counts.events_overlapped"] == 6870
         assert data["counts.resources_multitasking"] == 561
         assert data["counts.pairs_overlapped"] == 1039
+
+    def test_report_file_is_the_json_text(self, tmp_path):
+        import json
+
+        report = summarize(read_csv_from_text(tmp_path))
+        text = report_to_json(report)
+        assert json.loads(text) == report_to_dict(report)
+        assert list(json.loads(text)) == sorted(report_to_dict(report))
+        write_report(report, tmp_path / "report.json")
+        assert (tmp_path / "report.json").read_text(encoding="utf-8") == (
+            text + "\n")
 
     def test_six_significant_digits(self):
         report = MetricsReport(

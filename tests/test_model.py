@@ -36,6 +36,12 @@ class TestValidateLog:
         assert "missing resource" in message
         assert "missing activity" in message
 
+    def test_missing_trace_id(self):
+        broken = WorkItem(id="x", activity="T1", resource="R1", trace_id="",
+                          start=0, end=1)
+        with pytest.raises(LogValidationError, match="missing trace id"):
+            validate_log([broken])
+
     def test_duplicate_id(self):
         with pytest.raises(LogValidationError) as err:
             validate_log([wi("dup", 0, 10), wi("dup", 20, 30)])
