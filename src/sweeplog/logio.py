@@ -11,7 +11,9 @@ events of the same trace, activity, and resource are fused FIFO: the
 k-th start pairs with the k-th complete, in document order.  Other event
 attributes are ignored on read and never written.  Interleavings where
 same-activity items of one trace and resource strictly nest cannot be
-expressed faithfully by lifecycle events and do not round-trip.
+expressed faithfully by lifecycle events and do not round-trip.  XES is
+written as fixed text, with ElementTree's escapes in attribute values;
+ElementTree itself only reads it.
 
 Timestamps are serialized as UTC ISO-8601 with milliseconds; anything a
 file supplies below one millisecond is rounded half-up on read.
@@ -24,6 +26,7 @@ import json
 import re
 import xml.etree.ElementTree as ET
 from datetime import date, datetime, time, timedelta, timezone
+from itertools import groupby
 from pathlib import Path
 from typing import Iterable, Union
 
@@ -142,7 +145,7 @@ def read_csv(path: PathLike) -> EventLog:
     """Read a CSV event log.
 
     The header must carry exactly the five canonical columns
-    (case-insensitive).  Errors name the offending line and column.
+    (case-insensitive).  Errors name the offending physical line and column.
     """
     path = Path(path)
     with path.open(newline="", encoding="utf-8-sig") as handle:
@@ -159,10 +162,10 @@ def read_csv(path: PathLike) -> EventLog:
             )
 
         def error(message: str) -> LogFormatError:
-            return LogFormatError(f"{path}: line {line_no}: {message}")
+            return LogFormatError(f"{path}: line {reader.line_num}: {message}")
 
         rows: list[_Row] = []
-        for line_no, row in enumerate(reader, start=2):
+        for row in reader:
             if not row:
                 continue
             if len(row) != len(CSV_COLUMNS):
@@ -199,11 +202,6 @@ def write_csv(log: EventLog, path: PathLike) -> None:
 
 def _local_name(tag: str) -> str:
     return tag.rsplit("}", 1)[-1]
-
-
-def _event_attributes(event: ET.Element) -> dict[str, str]:
-    return {child.get("key"): child.get("value", "") for child in event
-            if child.get("key") is not None}
 
 
 def read_xes(path: PathLike) -> EventLog:
@@ -247,7 +245,8 @@ def read_xes(path: PathLike) -> EventLog:
         for child in element:
             if _local_name(child.tag) != "event":
                 continue
-            attrs = _event_attributes(child)
+            attrs = {attr.get("key"): attr.get("value", "") for attr in child
+                     if attr.get("key") is not None}
             activity = attrs.get("concept:name")
             resource = attrs.get("org:resource")
             transition = attrs.get("lifecycle:transition", "").lower()
@@ -279,8 +278,27 @@ def read_xes(path: PathLike) -> EventLog:
     return _assemble(rows)
 
 
-def _string_attr(parent: ET.Element, key: str, value: str) -> None:
-    ET.SubElement(parent, "string", key=key, value=value)
+# The dialect's fixed text: two-space indentation, no newline after </log>.
+_XES_HEAD = """\
+<?xml version='1.0' encoding='utf-8'?>
+<log xes.version="1849.2016" xes.features="">
+  <extension name="Concept" prefix="concept" \
+uri="http://www.xes-standard.org/concept.xesext" />
+  <extension name="Organizational" prefix="org" \
+uri="http://www.xes-standard.org/org.xesext" />
+  <extension name="Time" prefix="time" \
+uri="http://www.xes-standard.org/time.xesext" />
+  <extension name="Lifecycle" prefix="lifecycle" \
+uri="http://www.xes-standard.org/lifecycle.xesext" />
+"""
+
+# ElementTree's escapes for attribute values.
+_ESCAPE = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;", '"': "&quot;",
+                         "\r": "&#13;", "\n": "&#10;", "\t": "&#09;"})
+
+# Characters outside XML 1.0's Char production; no XML parser reads them.
+_NON_XML = re.compile(
+    r"[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
 
 
 def write_xes(log: EventLog, path: PathLike) -> None:
@@ -288,50 +306,43 @@ def write_xes(log: EventLog, path: PathLike) -> None:
 
     Traces are sorted by id; each item becomes a start and a complete
     event, and a trace's events are ordered by timestamp (stable on ties,
-    so FIFO re-reading reproduces the items).
+    so FIFO re-reading reproduces the items).  The text is fixed, with
+    ElementTree's escapes in attribute values.  A name holding a
+    character that XML 1.0 cannot carry raises :class:`ValueError`
+    before the file is opened.
     """
-    root = ET.Element("log", {"xes.version": "1849.2016", "xes.features": ""})
-    for name, prefix in (
-        ("Concept", "concept"),
-        ("Organizational", "org"),
-        ("Time", "time"),
-        ("Lifecycle", "lifecycle"),
-    ):
-        ET.SubElement(
-            root,
-            "extension",
-            name=name,
-            prefix=prefix,
-            uri=f"http://www.xes-standard.org/{prefix}.xesext",
-        )
-
-    by_trace: dict[str, list[WorkItem]] = {}
-    for item in log.items:
-        by_trace.setdefault(item.trace_id, []).append(item)
-
-    for trace_id in sorted(by_trace):
-        trace = ET.SubElement(root, "trace")
-        _string_attr(trace, "concept:name", trace_id)
-        events: list[tuple[int, WorkItem, str]] = []
-        for item in sorted(
-            by_trace[trace_id], key=lambda w: (w.start, w.end, _id_key(w.id))
-        ):
-            events.append((item.start, item, _TRANSITION_START))
-            events.append((item.end, item, _TRANSITION_COMPLETE))
-        events.sort(key=lambda entry: entry[0])
-        for stamp, item, transition in events:
-            event = ET.SubElement(trace, "event")
-            _string_attr(event, "concept:name", item.activity)
-            _string_attr(event, "org:resource", item.resource)
-            _string_attr(event, "lifecycle:transition", transition)
-            ET.SubElement(
-                event, "date", key="time:timestamp",
-                value=format_timestamp(stamp),
-            )
-
-    tree = ET.ElementTree(root)
-    ET.indent(tree)
-    tree.write(path, encoding="utf-8", xml_declaration=True)
+    ordered = sorted(log.items,
+                     key=lambda w: (w.trace_id, w.start, w.end, _id_key(w.id)))
+    for item in ordered:
+        bad = _NON_XML.search(item.trace_id + item.activity + item.resource)
+        if bad:
+            raise ValueError(f"{path}: trace {item.trace_id!r}: character "
+                             f"{bad[0]!r} cannot be written to XML")
+    with Path(path).open("w", encoding="utf-8") as handle:
+        handle.write(_XES_HEAD)
+        for trace_id, items in groupby(ordered, key=lambda w: w.trace_id):
+            handle.write(f"""\
+  <trace>
+    <string key="concept:name" value="{trace_id.translate(_ESCAPE)}" />
+""")
+            events: list[tuple[int, str]] = []
+            for item in items:
+                activity = item.activity.translate(_ESCAPE)
+                resource = item.resource.translate(_ESCAPE)
+                for stamp, transition in ((item.start, _TRANSITION_START),
+                                          (item.end, _TRANSITION_COMPLETE)):
+                    events.append((stamp, f"""\
+    <event>
+      <string key="concept:name" value="{activity}" />
+      <string key="org:resource" value="{resource}" />
+      <string key="lifecycle:transition" value="{transition}" />
+      <date key="time:timestamp" value="{format_timestamp(stamp)}" />
+    </event>
+"""))
+            events.sort(key=lambda entry: entry[0])
+            handle.writelines(text for _, text in events)
+            handle.write("  </trace>\n")
+        handle.write("</log>")
 
 
 def _format(fmt: str | None, path: PathLike) -> str:

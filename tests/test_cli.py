@@ -69,6 +69,17 @@ class TestAdjust:
         adjusted = read_xes(out)
         assert len(adjusted) == 4
 
+    def test_xes_refuses_a_character_xml_cannot_carry(self, tmp_path,
+                                                      capsys):
+        source = tmp_path / "ctl.csv"
+        source.write_text(CLEAN_CSV.replace("c2,T1", "c2,T\x01"),
+                          encoding="utf-8")
+        out = tmp_path / "ctl.xes"
+        assert run(["adjust", "--in", str(source), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "'c2'" in err and "'\\x01'" in err
+        assert not out.exists()
+
     def test_missing_input_is_an_io_error(self, tmp_path, capsys):
         out = tmp_path / "x.csv"
         code = run(["adjust", "--in", str(tmp_path / "nope.csv"),

@@ -284,6 +284,18 @@ class TestReadCsv:
         with pytest.raises(LogFormatError, match="line 5: column start"):
             read_csv(spaced)
 
+    def test_errors_name_physical_lines_after_a_multi_line_field(
+            self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text(
+            ",".join(CSV_COLUMNS) + "\n"
+            + 'c1,"T\n1",R1,2016-04-01T09:00:00Z,2016-04-01T10:00:00Z\n'
+            + "c1,T2,R1,noon,2016-04-01T10:00:00Z\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(LogFormatError, match="line 4: column start"):
+            read_csv(path)
+
     def test_short_row(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text(
@@ -560,6 +572,123 @@ class TestXesRoundTrip:
 
     def test_empty_log(self, tmp_path):
         assert self.round_trip(tmp_path, make_log([])) == make_log([])
+
+
+# Names holding every character ElementTree escapes in an attribute, a
+# quote it leaves alone, and a non-ASCII letter.
+ODD = "&<>\"'\r\n\t \u00e9"
+
+XES_HEAD = """\
+<?xml version='1.0' encoding='utf-8'?>
+<log xes.version="1849.2016" xes.features="">
+  <extension name="Concept" prefix="concept" \
+uri="http://www.xes-standard.org/concept.xesext" />
+  <extension name="Organizational" prefix="org" \
+uri="http://www.xes-standard.org/org.xesext" />
+  <extension name="Time" prefix="time" \
+uri="http://www.xes-standard.org/time.xesext" />
+  <extension name="Lifecycle" prefix="lifecycle" \
+uri="http://www.xes-standard.org/lifecycle.xesext" />
+"""
+
+# What ElementTree's writer, after ET.indent, gave for odd_log().
+ODD_XES = XES_HEAD + """\
+  <trace>
+    <string key="concept:name" value="c&amp;&lt;&gt;&quot;'&#13;&#10;&#09; \u00e9" />
+    <event>
+      <string key="concept:name" value="A&amp;&lt;&gt;&quot;'&#13;&#10;&#09; \u00e9" />
+      <string key="org:resource" value="R&amp;&lt;&gt;&quot;'&#13;&#10;&#09; \u00e9" />
+      <string key="lifecycle:transition" value="start" />
+      <date key="time:timestamp" value="1970-01-01T00:00:00.000+00:00" />
+    </event>
+    <event>
+      <string key="concept:name" value="A&amp;&lt;&gt;&quot;'&#13;&#10;&#09; \u00e9" />
+      <string key="org:resource" value="R&amp;&lt;&gt;&quot;'&#13;&#10;&#09; \u00e9" />
+      <string key="lifecycle:transition" value="complete" />
+      <date key="time:timestamp" value="1970-01-01T00:01:00.000+00:00" />
+    </event>
+    <event>
+      <string key="concept:name" value="B&amp;&lt;&gt;&quot;'&#13;&#10;&#09; \u00e9" />
+      <string key="org:resource" value="R&amp;&lt;&gt;&quot;'&#13;&#10;&#09; \u00e9" />
+      <string key="lifecycle:transition" value="start" />
+      <date key="time:timestamp" value="1970-01-01T00:01:00.000+00:00" />
+    </event>
+    <event>
+      <string key="concept:name" value="B&amp;&lt;&gt;&quot;'&#13;&#10;&#09; \u00e9" />
+      <string key="org:resource" value="R&amp;&lt;&gt;&quot;'&#13;&#10;&#09; \u00e9" />
+      <string key="lifecycle:transition" value="complete" />
+      <date key="time:timestamp" value="1970-01-01T00:01:30.000+00:00" />
+    </event>
+  </trace>
+  <trace>
+    <string key="concept:name" value="c2" />
+    <event>
+      <string key="concept:name" value="T1" />
+      <string key="org:resource" value="R2" />
+      <string key="lifecycle:transition" value="start" />
+      <date key="time:timestamp" value="1970-01-01T00:00:30.000+00:00" />
+    </event>
+    <event>
+      <string key="concept:name" value="T1" />
+      <string key="org:resource" value="R2" />
+      <string key="lifecycle:transition" value="complete" />
+      <date key="time:timestamp" value="1970-01-01T00:00:30.000+00:00" />
+    </event>
+  </trace>
+</log>"""
+
+
+def odd_log():
+    # B starts on the stamp where A completes, and T1 is instantaneous.
+    return make_log([
+        wi(1, 0, MINUTE, resource=f"R{ODD}", activity=f"A{ODD}",
+           trace=f"c{ODD}"),
+        wi(2, MINUTE, 90_000, resource=f"R{ODD}", activity=f"B{ODD}",
+           trace=f"c{ODD}"),
+        wi(3, 30_000, 30_000, resource="R2", activity="T1", trace="c2"),
+    ])
+
+
+class TestXesText:
+    def test_golden_bytes(self, tmp_path):
+        path = tmp_path / "odd.xes"
+        write_xes(odd_log(), path)
+        assert path.read_bytes() == ODD_XES.encode("utf-8")
+
+    def test_golden_bytes_of_empty_log(self, tmp_path):
+        path = tmp_path / "empty.xes"
+        write_xes(make_log([]), path)
+        assert path.read_bytes() == (XES_HEAD + "</log>").encode("utf-8")
+
+    def test_odd_names_round_trip(self, tmp_path):
+        path = tmp_path / "odd.xes"
+        write_xes(odd_log(), path)
+        assert read_xes(path) == odd_log()
+
+    @pytest.mark.parametrize("char", ["\x00", "\x08", "\x0b", "\x0c", "\x0e",
+                                      "\x1f", "\ud800", "\udfff", "\ufffe",
+                                      "\uffff"])
+    @pytest.mark.parametrize("field", ["trace", "activity", "resource"])
+    def test_character_xml_cannot_carry_is_refused(self, tmp_path, char,
+                                                   field):
+        names = {"trace": "c1", "activity": "T1", "resource": "R1"}
+        names[field] += char
+        log = make_log([wi(1, 0, MINUTE, **names),
+                        wi(2, 0, MINUTE, trace="c0")])
+        path = tmp_path / "bad.xes"
+        with pytest.raises(ValueError) as raised:
+            write_xes(log, path)
+        assert repr(names["trace"]) in str(raised.value)
+        assert repr(char) in str(raised.value)
+        assert not path.exists()
+
+    def test_other_characters_round_trip(self, tmp_path):
+        name = "\x7f\x85\ud7ff\ue000\ufffd\U00010000\U0010ffff"
+        log = make_log([wi(1, 0, MINUTE, resource=name, activity=name,
+                           trace=name)])
+        path = tmp_path / "ok.xes"
+        write_xes(log, path)
+        assert read_xes(path) == log
 
 
 class TestWriteLog:
