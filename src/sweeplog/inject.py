@@ -86,11 +86,12 @@ def plan_shifts(log: EventLog, percentage: float) -> ShiftPlan:
         raise ValueError(
             f"shift percentage must lie in [0, 1], got {percentage}"
         )
+    share = Fraction(str(percentage))  # its decimal, not the float's binary
     planned: list[PlannedShift] = []
     for segment in segments_per_resource(log):
         for first, second in find_adjacent_pairs(segment):
             delta = round_half_up_ms(
-                Fraction(percentage) * max(first.duration, second.duration)
+                share * max(first.duration, second.duration)
             )
             delta = min(delta, first.duration)
             planned.append(PlannedShift(first.id, second.id, delta))

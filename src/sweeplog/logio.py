@@ -26,6 +26,7 @@ import json
 import re
 import xml.etree.ElementTree as ET
 from datetime import date, datetime, time, timedelta, timezone
+from functools import lru_cache
 from itertools import groupby
 from pathlib import Path
 from typing import Iterable, Union
@@ -125,10 +126,22 @@ def parse_timestamp(text: str) -> int:
     )
 
 
+# The "MM:SS." of each second of an hour, and the "mmm+00:00" of each ms.
+_TWO_DIGITS = [f"{n:02}" for n in range(60)]  # formats once, not 3,600 times
+_MM_SS = tuple(f"{m}:{s}." for m in _TWO_DIGITS for s in _TWO_DIGITS)
+_MS_UTC = tuple(f"{ms:03}+00:00" for ms in range(1_000))
+
+
+@lru_cache(maxsize=1024)  # bounded: random stamps would fill a plain cache
+def _hour_prefix(hour: int) -> str:
+    return (_EPOCH + timedelta(hours=hour)).isoformat()[:14]
+
+
 def format_timestamp(ms: int) -> str:
     """Epoch milliseconds to UTC ISO-8601 with millisecond precision."""
-    moment = _EPOCH + timedelta(milliseconds=ms)
-    return moment.isoformat(timespec="milliseconds")
+    hour, rest = divmod(ms, 3_600_000)
+    second, milli = divmod(rest, 1_000)
+    return _hour_prefix(hour) + _MM_SS[second] + _MS_UTC[milli]
 
 
 def _assemble(rows: Iterable[_Row]) -> EventLog:

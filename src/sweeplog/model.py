@@ -2,8 +2,8 @@
 
 Timestamps are integer milliseconds since a fixed epoch so that span
 arithmetic is exact.  Fair-share computations elsewhere in the package
-carry durations as :class:`fractions.Fraction` and round to whole
-milliseconds only when a log is serialized.
+stay exact, in integers over a common denominator or as Fractions, and
+round to whole milliseconds only for the logs they return.
 """
 
 from __future__ import annotations

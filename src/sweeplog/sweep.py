@@ -6,17 +6,18 @@ evenly among the items live over it (processor sharing): one virtual clock
 per resource advances by span / live between consecutive boundaries, and
 an item's adjusted duration, the exact sum of its shares, is the clock's
 advance from its start to its end.  Adjusted durations of a resource add
-up to the measure of the union of its busy intervals, never more.  All
-arithmetic is exact, shares are built only on request, and rounding to
-whole milliseconds happens only when results are serialized.
+up to the measure of the union of its busy intervals, never more.  The
+clock is an integer count of 1/D ms, D the lcm of the live counts, so all
+arithmetic is exact; exact ends and shares are built only on request.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
+from itertools import accumulate, chain
+from math import lcm
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .model import (
@@ -26,7 +27,7 @@ from .model import (
     WorkItem,
     WorkItemId,
     _id_key,
-    round_half_up_ms,
+    _round_half_up,
     segments_per_resource,
 )
 
@@ -97,31 +98,31 @@ class CoalescedItem:
     def duration_exact(self) -> Fraction:
         return self.end_exact - self.start
 
-    def to_work_item(self) -> WorkItem:
-        """Materialize with the end rounded half-up to whole milliseconds."""
-        return WorkItem(
-            id=self.id,
-            activity=self.activity,
-            resource=self.resource,
-            trace_id=self.trace_id,
-            start=self.start,
-            end=round_half_up_ms(self.end_exact),
-        )
-
 
 @dataclass(frozen=True)
 class LogAdjustment:
-    """Result of adjusting a log: the coalesced log, and shares on request.
+    """Result of adjusting a log; exact ends and shares come on request.
 
-    ``coalesced`` has one item per input item, ends rounded to whole ms;
-    ``coalesced_exact`` carries the unrounded ends.  ``aux_by_resource``,
-    computed from ``source`` on first access, groups shares by resource in
-    name order; share ids are sequential from 1 across the whole run.
+    ``coalesced`` has one item per input item, ends rounded to whole ms.
+    ``coalesced_exact`` carries the unrounded ends and ``aux_by_resource``
+    groups shares by resource in name order, share ids sequential from 1
+    across the whole run; both are computed from ``source`` on first access.
     """
 
-    coalesced_exact: tuple[CoalescedItem, ...]
     coalesced: EventLog
     source: EventLog = field(repr=False)
+
+    @cached_property
+    def coalesced_exact(self) -> tuple[CoalescedItem, ...]:
+        clocks = _clocks(self.source)
+
+        def exact(item: WorkItem) -> CoalescedItem:
+            scale, clock = clocks[item.resource]
+            end = item.start + Fraction(clock[item.end] - clock[item.start],
+                                        scale)
+            return CoalescedItem(item.id, item.activity, item.resource,
+                                 item.trace_id, item.start, end)
+        return tuple(map(exact, self.source.items))
 
     @cached_property
     def aux_by_resource(self) -> Mapping[str, tuple[AuxWorkItem, ...]]:
@@ -219,49 +220,46 @@ def _swept_resources(log: EventLog) -> Iterator[
         yield segment.resource, points, build_intervals(points)
 
 
-def adjust_log(log: EventLog) -> LogAdjustment:
-    """Fair-share adjust every resource of a log.
-
-    Instantaneous items carry no divisible time: they get no shares, and
-    are copied unchanged into the coalesced log.  Every other item's
-    coalesced end is its start plus the exact sum of its shares.  The
-    coalesced log keeps the input's length, ids, trace structure,
-    activities, resources, and starts.
-    """
+def _clocks(log: EventLog) -> dict[str, tuple[int, dict[Instant, int]]]:
+    """Per resource, D = lcm(live counts) and D * clock at each boundary."""
     # Net live-count change per boundary; an instantaneous item's nets to 0.
     changes: dict[str, dict[Instant, int]] = {}
     for item in log.items:
         change = changes.setdefault(item.resource, {})
         change[item.start] = change.get(item.start, 0) + 1
         change[item.end] = change.get(item.end, 0) - 1
-    clocks: dict[str, dict[Instant, Fraction]] = {}
+    clocks: dict[str, tuple[int, dict[Instant, int]]] = {}
     for resource, change in changes.items():
-        clock = clocks[resource] = {}
-        virtual, live, previous = Fraction(0), 0, 0
-        for time in sorted(change):
-            if live > 0:
-                virtual += Fraction(time - previous, live)
-            clock[time] = virtual
-            live, previous = live + change[time], time
+        times = sorted(change)
+        lives = list(accumulate(change[time] for time in times))
+        scale = lcm(*set(lives) - {0})
+        # From each boundary to the next, the clock gains gap * D / live.
+        gains = ((after - time) * (scale // live) if live else 0
+                 for time, after, live in zip(times, times[1:], lives))
+        clock = accumulate(gains, initial=0)
+        clocks[resource] = scale, dict(zip(times, clock))
+    return clocks
 
-    coalesced_exact = tuple(
-        CoalescedItem(
-            id=item.id,
-            activity=item.activity,
-            resource=item.resource,
-            trace_id=item.trace_id,
-            start=item.start,
-            end_exact=item.start + (
-                clocks[item.resource][item.end]
-                - clocks[item.resource][item.start]
-            ),
-        )
-        for item in log.items
-    )
+
+def adjust_log(log: EventLog) -> LogAdjustment:
+    """Fair-share adjust every resource of a log.
+
+    Instantaneous items carry no divisible time: they get no shares, and
+    are copied unchanged into the coalesced log.  Every other item ends at
+    its start plus the sum of its shares, rounded half-up, and is kept as
+    it is if that end does not move.  The coalesced log keeps the input's
+    length, ids, trace structure, activities, resources, and starts.
+    """
+    clocks = _clocks(log)
+    coalesced = []
+    for item in log.items:
+        scale, clock = clocks[item.resource]
+        end = item.start + _round_half_up(
+            clock[item.end] - clock[item.start], scale)
+        coalesced.append(item if end == item.end else replace(item, end=end))
     # Ids, trace ids and starts come from a validated log and no end falls
     # below its start, so validating again could change no order.
-    coalesced = EventLog(tuple(c.to_work_item() for c in coalesced_exact))
-    return LogAdjustment(coalesced_exact, coalesced, source=log)
+    return LogAdjustment(EventLog(tuple(coalesced)), source=log)
 
 
 def _format_number(value: Fraction) -> str:

@@ -281,3 +281,17 @@ def test_checked_in_fixture_is_the_four_task_log(four_csv):
     # tests/data/four_tasks.csv is the input CI gives the installed script.
     fixture = Path(__file__).parent / "data" / "four_tasks.csv"
     assert read_csv(fixture) == read_csv(four_csv)
+
+
+@pytest.mark.parametrize("command, source, golden", [
+    ("adjust", "four_tasks.csv", "four_tasks.adjusted.csv"),
+    ("adjust", "thirds.csv", "thirds.adjusted.csv"),
+    ("aux", "thirds.csv", "thirds.aux.csv"),
+])
+def test_outputs_match_the_checked_in_golden_files(tmp_path, command, source,
+                                                   golden):
+    # CI compares the installed script's output with the same files.
+    data = Path(__file__).parent / "data"
+    out = tmp_path / "out.csv"
+    assert run([command, "--in", str(data / source), "--out", str(out)]) == 0
+    assert out.read_bytes() == (data / golden).read_bytes()

@@ -7,11 +7,13 @@ The same logs check that ``adjust_log``'s virtual clock gives exactly the
 share sums, that its shares are built only on request, that the ``aux``
 table's rows are those shares, and that the coalesced and the injected
 logs, built without a second validation, equal what validating them
-again would give.
+again would give.  Crowded logs, where up to 240 items are live at once,
+check the integer clock where its scale D grows to hundreds of bits.
 """
 
 import csv
 import random
+from math import lcm
 
 import pytest
 
@@ -34,6 +36,7 @@ from sweeplog.metrics import (
     summarize,
 )
 from sweeplog.model import (
+    WorkItem,
     round_half_up_ms,
     segments_per_resource,
     validate_log,
@@ -52,6 +55,7 @@ from helpers import (
     overlapped_pairs_by_combinations,
     random_segment_items,
     shares_by_resource,
+    wi,
 )
 
 LOGS = 300
@@ -62,6 +66,45 @@ TOLERANCE = 1e-12
 def logs():
     rng = random.Random(20040913)
     return [make_log(adversarial_items(rng)) for _ in range(LOGS)]
+
+
+def crowded_items(rng, count, resource="R0"):
+    """Items that all straddle one instant, so that the live count climbs
+    through most of 1..count and back; spans repeat, ends tie, and a few
+    instantaneous items sit among them."""
+    base = rng.choice((0, 1_600_000_000_000))
+    spans: list[tuple[int, int]] = []
+    for _ in range(count):
+        if spans and rng.random() < 0.1:
+            spans.append(rng.choice(spans))
+        else:
+            spans.append((rng.randint(0, 300), rng.randint(301, 600)))
+    spans += [(t, t) for t in rng.sample(range(601), count // 10)]
+    return [
+        wi(f"{resource}-{seq}", base + start, base + end, resource=resource,
+           activity=f"act-{seq % 5}", trace=f"t{seq % 3}")
+        for seq, (start, end) in enumerate(spans)
+    ]
+
+
+@pytest.fixture(scope="module")
+def crowded_logs():
+    rng = random.Random(19_890_919)
+    logs = []
+    for _ in range(20):
+        resources = ("R0", "R1")[:rng.randint(1, 2)]
+        logs.append(make_log([
+            item for resource in resources
+            for item in crowded_items(rng, rng.randint(40, 60), resource)
+        ]))
+    return logs + [make_log(crowded_items(rng, 240))]
+
+
+def live_counts(log):
+    return [
+        {len(interval.active_ids) for interval in intervals}
+        for _, _, intervals in sweep._swept_resources(log)
+    ]
 
 
 def close(actual, expected):
@@ -236,3 +279,56 @@ def test_logs_read_back_pass_validation_unchanged(logs, tmp_path, fmt):
         read = read_log(path)
         assert len(read) == len(log)
         assert validate_log(read.items) == read
+
+
+def test_integer_clock_matches_share_sums_on_crowded_logs(crowded_logs):
+    for log in crowded_logs:
+        assert max(max(counts) for counts in live_counts(log)) >= 40
+        adjusted = adjust_log(log)
+        expected = coalesced_by_shares(log)
+        assert adjusted.coalesced_exact == expected
+        assert adjusted.coalesced.items == tuple(
+            WorkItem(c.id, c.activity, c.resource, c.trace_id, c.start,
+                     round_half_up_ms(c.end_exact))
+            for c in expected
+        )
+    (counts,) = live_counts(crowded_logs[-1])
+    assert max(counts) >= 200
+    assert lcm(*counts).bit_length() >= 200
+
+
+def test_adjust_builds_no_fraction(logs, crowded_logs, tmp_path, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a Fraction was built")
+
+    chosen = [log for log in logs if len(log) > 30][:10] + crowded_logs[-2:]
+    expected = [adjust_log(log).coalesced for log in chosen]
+    for index, log in enumerate(chosen):
+        write_csv(log, tmp_path / f"in{index}.csv")
+    monkeypatch.setattr(sweep, "Fraction", forbidden)
+    for index, (log, coalesced) in enumerate(zip(chosen, expected)):
+        adjusted = adjust_log(log)
+        assert adjusted.coalesced == coalesced
+        with pytest.raises(AssertionError, match="Fraction"):
+            adjusted.coalesced_exact
+        assert run(["adjust", "--in", str(tmp_path / f"in{index}.csv"),
+                    "--out", str(tmp_path / f"out{index}.csv")]) == 0
+
+
+def test_exact_ends_are_built_on_first_access(logs):
+    for log in logs:
+        adjusted = adjust_log(log)
+        assert "coalesced_exact" not in vars(adjusted)
+        assert adjusted.coalesced_exact is adjusted.coalesced_exact
+        assert "coalesced_exact" in vars(adjusted)
+
+
+def test_items_whose_end_stays_are_the_input_objects(logs, crowded_logs):
+    kept = moved = 0
+    for log in logs + crowded_logs:
+        for item, out in zip(log.items, adjust_log(log).coalesced.items):
+            assert out.id == item.id
+            assert (out is item) == (out.end == item.end)
+            kept += out is item
+            moved += out is not item
+    assert kept > LOGS and moved > LOGS

@@ -90,6 +90,14 @@ class TestPlanShifts:
         ]
         assert len(mentioned) == len(set(mentioned))
 
+    @pytest.mark.parametrize("percentage, delta", [(0.3, 2), (0.7, 4)])
+    def test_decimal_ties_round_half_up(self, percentage, delta):
+        # 0.3 and 0.7 are stored just below 3/10 and 7/10; as typed, a
+        # tenth of a 5 ms item is a half millisecond, which rounds up.
+        log = make_log([wi("a", 0, 5), wi("b", 5, 10)])
+        (shift,) = plan_shifts(log, percentage).pairs
+        assert shift.delta == delta
+
     def test_percentage_out_of_range(self):
         log = make_log([wi("a", 0, 10)])
         with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import random
 import sys
 from datetime import datetime, timedelta, timezone
 from itertools import permutations, product
@@ -13,6 +14,7 @@ from sweeplog.logio import (
     read_csv,
     read_log,
     read_xes,
+    _hour_prefix,
     _parse_iso_8601,
     report_to_dict,
     report_to_json,
@@ -27,6 +29,9 @@ from sweeplog.sweep import adjust_log
 from helpers import FOUR_TASK_CSV, make_log, wi
 
 MINUTE = 60_000
+# 0001-01-01T00:00:00.000 and 9999-12-31T23:59:59.999, in epoch ms.
+FIRST_MS = -62_135_596_800_000
+LAST_MS = 253_402_300_799_999
 
 
 def xes_event(activity, resource, transition, stamp):
@@ -188,6 +193,28 @@ class TestTimestamps:
     def test_garbage_rejected(self):
         with pytest.raises(LogFormatError):
             parse_timestamp("yesterday at noon")
+
+    def test_format_matches_isoformat(self):
+        epoch = datetime(1970, 1, 1, tzinfo=timezone.utc)
+        edges = [FIRST_MS, LAST_MS, -1, 0, 1, 999, 1_000, 59_999, 60_000,
+                 3_599_999, 3_600_000, 86_399_999, 86_400_000, -3_600_000,
+                 -3_600_001, -86_400_000, -86_400_001,
+                 946_684_799_999, 946_684_800_000,  # 1999 to 2000
+                 951_782_399_999, 951_782_400_000]  # 2000-02-28 to 29
+        rng = random.Random(1_000)
+        sample = [rng.randint(FIRST_MS, LAST_MS) for _ in range(20_000)]
+        for ms in edges + sample:
+            expected = (epoch + timedelta(milliseconds=ms)).isoformat(
+                timespec="milliseconds")
+            assert format_timestamp(ms) == expected
+
+    def test_format_keeps_a_bounded_cache_and_the_range(self):
+        assert _hour_prefix.cache_info().maxsize is not None
+        assert format_timestamp(FIRST_MS) == "0001-01-01T00:00:00.000+00:00"
+        assert format_timestamp(LAST_MS) == "9999-12-31T23:59:59.999+00:00"
+        for ms in (FIRST_MS - 1, LAST_MS + 1):
+            with pytest.raises(OverflowError):
+                format_timestamp(ms)
 
 
 class TestReadCsv:
