@@ -12,8 +12,8 @@ k-th start pairs with the k-th complete, in document order.  Other event
 attributes are ignored on read and never written.  Interleavings where
 same-activity items of one trace and resource strictly nest cannot be
 expressed faithfully by lifecycle events and do not round-trip.  XES is
-written as fixed text, with ElementTree's escapes in attribute values;
-ElementTree itself only reads it.
+written as fixed text, with ElementTree's escapes in attribute values,
+and read one trace at a time with ElementTree's ``iterparse``.
 
 Timestamps are serialized as UTC ISO-8601 with milliseconds; anything a
 file supplies below one millisecond is rounded half-up on read.
@@ -29,7 +29,7 @@ from datetime import date, datetime, time, timedelta, timezone
 from functools import lru_cache
 from itertools import groupby
 from pathlib import Path
-from typing import Iterable, Union
+from typing import BinaryIO, Iterable, Iterator, Union
 
 from .metrics import MetricsReport
 from .model import EventLog, WorkItem, _id_key, _ordered, _round_half_up
@@ -223,25 +223,34 @@ def read_xes(path: PathLike) -> EventLog:
     Pairing is FIFO per (trace, activity, resource) in document order.
     Unmatched events and unknown lifecycle transitions are errors naming
     the trace and activity.  The k-th trace, if unnamed, is called
-    ``trace-k``, a name that no named trace may also carry.
+    ``trace-k``, a name that no named trace may also carry.  Traces are
+    read one at a time, so faults are reported in document order.
     """
     path = Path(path)
     try:
-        tree = ET.parse(path)
+        with path.open("rb") as handle:
+            return _assemble(_xes_rows(path, handle))
     except ET.ParseError as exc:
         raise LogFormatError(f"{path}: XML parse failure: {exc}") from exc
 
+
+def _xes_rows(path: Path, handle: BinaryIO) -> Iterator[_Row]:
     def error(message: str, activity: str | None = None) -> LogFormatError:
         where = f"trace {trace_id!r}"
         if activity is not None:
             where += f", activity {activity!r}"
         return LogFormatError(f"{path}: {where}: {message}")
 
-    rows: list[_Row] = []
+    events = ET.iterparse(handle, ("start", "end"))
+    _, root = next(events)
+    depth = 0  # below the root
     trace_count = 0
     named_by_id: dict[str, bool] = {}
-    for element in tree.getroot():
-        if _local_name(element.tag) != "trace":
+    for event, element in events:
+        depth += 1 if event == "start" else -1
+        if depth == 0:  # the root lets go of each child as soon as it ends
+            root.clear()
+        if depth or _local_name(element.tag) != "trace":
             continue
         trace_count += 1
         trace_id = next((child.get("value") for child in element
@@ -281,14 +290,13 @@ def read_xes(path: PathLike) -> EventLog:
                 start = pending.pop(0)
                 if stamp < start:
                     raise error("'complete' precedes its start", activity)
-                rows.append((trace_id, start, stamp, activity, resource))
+                yield (trace_id, start, stamp, activity, resource)
             else:
                 raise error("unsupported lifecycle:transition "
                             f"{attrs.get('lifecycle:transition')!r}", activity)
         for (activity, _), pending in open_starts.items():
             if pending:
                 raise error("'start' without a matching complete", activity)
-    return _assemble(rows)
 
 
 # The dialect's fixed text: two-space indentation, no newline after </log>.

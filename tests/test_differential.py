@@ -9,6 +9,8 @@ table's rows are those shares, and that the coalesced and the injected
 logs, built without a second validation, equal what validating them
 again would give.  Crowded logs, where up to 240 items are live at once,
 check the integer clock where its scale D grows to hundreds of bits.
+The streaming XES reader is checked against the whole-tree reader it
+replaced, on these logs written as XES and on hand-written documents.
 """
 
 import csv
@@ -21,11 +23,14 @@ from sweeplog import sweep
 from sweeplog.cli import run
 from sweeplog.inject import find_adjacent_pairs, inject
 from sweeplog.logio import (
+    LogFormatError,
     format_timestamp,
     read_csv,
     read_log,
+    read_xes,
     write_csv,
     write_log,
+    write_xes,
 )
 from sweeplog.metrics import (
     mtli,
@@ -54,8 +59,11 @@ from helpers import (
     mtwii_by_double_loop,
     overlapped_pairs_by_combinations,
     random_segment_items,
+    read_xes_tree,
     shares_by_resource,
     wi,
+    xes_event,
+    xes_text,
 )
 
 LOGS = 300
@@ -332,3 +340,99 @@ def test_items_whose_end_stays_are_the_input_objects(logs, crowded_logs):
             kept += out is item
             moved += out is not item
     assert kept > LOGS and moved > LOGS
+
+
+def test_streaming_xes_reader_matches_tree_reader(logs, tmp_path):
+    path = tmp_path / "log.xes"
+    for log in logs:
+        write_xes(log, path)
+        assert read_xes(path) == read_xes_tree(path)
+
+
+def events(activity="T1", start=0, end=10):
+    return [xes_event(activity, "R1", "start", format_timestamp(start)),
+            xes_event(activity, "R1", "complete", format_timestamp(end))]
+
+
+def trace(name, body):
+    named = f'<string key="concept:name" value="{name}"/>' if name else ""
+    return f"<trace>{named}{''.join(body)}</trace>"
+
+
+def document(*children, log_attrs=""):
+    return f"<log {log_attrs}>{''.join(children)}</log>"
+
+
+# Documents both readers read; a <trace> that is not a child of the root
+# is not a trace, so the two nested shapes tell a reader that checks depth
+# from one that takes every trace end event.
+XES_DOCUMENTS = {
+    "name after events": document(
+        trace(None, events() + ['<string key="concept:name" value="late"/>']),
+        trace("c2", events("T2"))),
+    "unnamed traces": xes_text(
+        [(None, events()), ("c1", events()), (None, events("T2", 5, 30))]),
+    "trace inside another child": document(
+        '<string key="x" value="y">' + trace(None, events("T9")) + "</string>",
+        trace(None, events())),
+    "trace inside a trace": document(
+        trace(None, events() + [trace(None, events("T9", 3, 4))]),
+        trace("c2", events("T2"))),
+    "namespaced": xes_text(
+        [("c1", events()), (None, events("T2"))],
+        log_attrs='xmlns="http://www.xes-standard.org/"'),
+    "extra attributes": document(
+        '<trace id="7"><int key="cost" value="3"/><string value="no key"/>'
+        + "".join(events()).replace(
+            "<event>", '<event id="e"><string key="cost:total" value="12"/>')
+        + '<string key="concept:name" value="c1"/></trace>'),
+    "log-level name first": document(
+        '<string key="concept:name" value="the log"/>'
+        '<global scope="trace"><string key="concept:name" value="g"/>'
+        "</global>",
+        trace(None, events()), trace(None, events("T2"))),
+}
+
+
+@pytest.mark.parametrize("name", XES_DOCUMENTS)
+def test_streaming_xes_reader_matches_tree_reader_by_hand(name, tmp_path):
+    path = tmp_path / "hand.xes"
+    path.write_text(XES_DOCUMENTS[name], encoding="utf-8")
+    log = read_xes(path)
+    assert len(log) > 0
+    assert log == read_xes_tree(path)
+
+
+# One document per error that TestReadXes in test_logio.py checks, plus
+# the timestamp errors.
+XES_FAULTS = {
+    "complete without start": xes_text([("c9", events()[1:])]),
+    "start without complete": xes_text([("c9", events()[:1])]),
+    "complete before start": xes_text([("c9", events(start=60, end=0))]),
+    "empty activity": xes_text([("c9", events(activity=""))]),
+    "empty resource": xes_text([("c9", [
+        xes_event("T1", "", "start", format_timestamp(0))])]),
+    "unknown transition": xes_text([("c1", [
+        xes_event("T1", "R1", "resume", format_timestamp(5))])]),
+    "broken xml": "<log><trace>",
+    "generated name given later": xes_text(
+        [(None, events()), ("trace-1", events())]),
+    "given name generated later": xes_text(
+        [("trace-2", events()), (None, events())]),
+    "bad timestamp": xes_text([("c1", [
+        xes_event("T1", "R1", "start", "noon")])]),
+    "no timestamp": document(trace("c1", [
+        events()[0].split("<date")[0] + "</event>"])),
+}
+
+
+@pytest.mark.parametrize("name", XES_FAULTS)
+def test_xes_readers_raise_the_same_error(name, tmp_path):
+    path = tmp_path / "bad.xes"
+    path.write_text(XES_FAULTS[name], encoding="utf-8")
+    messages = []
+    for reader in (read_xes, read_xes_tree):
+        with pytest.raises(LogFormatError) as caught:
+            reader(path)
+        messages.append(str(caught.value))
+    assert messages[0] == messages[1]

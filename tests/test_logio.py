@@ -1,5 +1,7 @@
 import random
 import sys
+import tracemalloc
+import xml.etree.ElementTree as ET
 from datetime import datetime, timedelta, timezone
 from itertools import permutations, product
 
@@ -26,37 +28,12 @@ from sweeplog.logio import (
 from sweeplog.metrics import MetricsReport, SummaryCounts, summarize
 from sweeplog.sweep import adjust_log
 
-from helpers import FOUR_TASK_CSV, make_log, wi
+from helpers import FOUR_TASK_CSV, make_log, wi, xes_event, xes_text
 
 MINUTE = 60_000
 # 0001-01-01T00:00:00.000 and 9999-12-31T23:59:59.999, in epoch ms.
 FIRST_MS = -62_135_596_800_000
 LAST_MS = 253_402_300_799_999
-
-
-def xes_event(activity, resource, transition, stamp):
-    return (
-        "<event>"
-        f'<string key="concept:name" value="{activity}"/>'
-        f'<string key="org:resource" value="{resource}"/>'
-        f'<string key="lifecycle:transition" value="{transition}"/>'
-        f'<date key="time:timestamp" value="{stamp}"/>'
-        "</event>"
-    )
-
-
-def xes_text(traces, log_attrs=""):
-    body = []
-    for trace_id, events in traces:
-        body.append("<trace>")
-        if trace_id is not None:
-            body.append(f'<string key="concept:name" value="{trace_id}"/>')
-        body.extend(events)
-        body.append("</trace>")
-    return (
-        '<?xml version="1.0" encoding="UTF-8"?>'
-        f"<log {log_attrs}>" + "".join(body) + "</log>"
-    )
 
 
 def stamp(minutes: float) -> str:
@@ -563,6 +540,57 @@ class TestReadXes:
             xes_text([("c1", [event, complete])]), encoding="utf-8"
         )
         assert len(read_xes(path)) == 1
+
+    def test_fault_before_malformed_xml_is_reported_first(self, tmp_path):
+        # Faults are reported in document order: trace c9 ends, and is
+        # found faulty, before the cut-off end of the document is reached.
+        path = tmp_path / "bad.xes"
+        text = xes_text(
+            [("c9", [xes_event("T1", "R1", "complete", stamp(5))]),
+             ("c1", [xes_event("T1", "R1", "start", stamp(0))])]
+        )
+        path.write_text(text[:-len("</trace></log>")], encoding="utf-8")
+        with pytest.raises(LogFormatError,
+                           match="trace 'c9', activity 'T1': 'complete' w"):
+            read_xes(path)
+
+    def test_malformed_xml_before_a_fault_is_a_parse_failure(self, tmp_path):
+        path = tmp_path / "bad.xes"
+        # c1's <string> is never closed; c9 has a fault of its own.
+        path.write_text(
+            '<log><trace><string key="concept:name" value="c1"></trace>'
+            '<trace><string key="concept:name" value="c9"/>'
+            + xes_event("T1", "R1", "complete", stamp(5)) + "</trace></log>",
+            encoding="utf-8",
+        )
+        with pytest.raises(LogFormatError,
+                           match="XML parse failure: mismatched tag"):
+            read_xes(path)
+
+    def test_memory_is_bounded_by_one_trace(self, tmp_path):
+        # 2,000 items in 400 traces, about 1 MB of XES: the whole tree
+        # takes about 11 MB, one trace at a time about 1 MB with the rows.
+        rng = random.Random(2_000)
+        items = []
+        for seq in range(2_000):
+            start = rng.randint(0, 10**7)
+            items.append(wi(seq, start, start + rng.randint(0, 10**5),
+                            resource=f"R{seq % 20}", activity=f"A{seq % 7}",
+                            trace=f"t{seq % 400}"))
+        path = tmp_path / "big.xes"
+        write_xes(make_log(items), path)
+
+        def peak_bytes(work):
+            tracemalloc.start()
+            try:
+                work()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert len(read_xes(path)) == 2_000
+        assert peak_bytes(lambda: read_xes(path)) < (
+            peak_bytes(lambda: ET.parse(path)) / 4)
 
 
 class TestXesRoundTrip:
