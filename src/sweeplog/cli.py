@@ -10,7 +10,6 @@ error, 2 usage error.
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 from typing import Optional, Sequence
 
@@ -18,6 +17,7 @@ from .inject import inject
 from .logio import (
     CSV_COLUMNS,
     FORMATS,
+    _csv_record,
     format_timestamp,
     read_log,
     report_to_json,
@@ -25,7 +25,7 @@ from .logio import (
     write_report,
 )
 from .metrics import summarize
-from .model import _round_half_up
+from .model import WorkItemId, _round_half_up
 from .sweep import _swept_resources, adjust_log, format_adjustment_table
 
 AUX_COLUMNS = ("aux_id", "parent_id", *CSV_COLUMNS, "duration_ms")
@@ -46,21 +46,29 @@ def _cmd_aux(args: argparse.Namespace) -> int:
     parents = log.by_id()
     aux_id = 0
     with open(args.out, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(AUX_COLUMNS)
-        # LogAdjustment.aux_items rows; an interval's shares share all but ids.
+        handle.write(_csv_record(AUX_COLUMNS) + "\n")
+        # LogAdjustment.aux_items rows; an interval's shares share all but
+        # ids.  Each item's "parent_id,case_id,activity" is rendered once,
+        # and each interval's "resource,start,end,portion" once; only the
+        # resource can need quoting, so it is rendered once per resource.
         for resource, _, intervals in _swept_resources(log):
+            resource_text = _csv_record((resource,))
+            heads: dict[WorkItemId, str] = {}
             for interval in intervals:
                 live = len(interval.active_ids)
-                start = format_timestamp(interval.start)
-                end = format_timestamp(interval.end)
-                portion = _round_half_up(interval.span, live)
+                tail = (f"{resource_text},{format_timestamp(interval.start)},"
+                        f"{format_timestamp(interval.end)},"
+                        f"{_round_half_up(interval.span, live)}\n")
+                rows = []
                 for wiid in interval.active_ids:
+                    head = heads.get(wiid)
+                    if head is None:
+                        parent = parents[wiid]
+                        head = heads[wiid] = _csv_record(
+                            (wiid, parent.trace_id, parent.activity))
                     aux_id += 1
-                    parent = parents[wiid]
-                    writer.writerow((aux_id, wiid, parent.trace_id,
-                                     parent.activity, resource, start, end,
-                                     portion))
+                    rows.append(f"{aux_id},{head},{tail}")
+                handle.write("".join(rows))
     return 0
 
 

@@ -29,6 +29,7 @@ from datetime import date, datetime, time, timedelta, timezone
 from functools import lru_cache
 from itertools import groupby
 from pathlib import Path
+from types import SimpleNamespace
 from typing import BinaryIO, Iterable, Iterator, Union
 
 from .metrics import MetricsReport
@@ -200,17 +201,31 @@ def read_csv(path: PathLike) -> EventLog:
     return _assemble(rows)
 
 
+# writerow returns what its file's write returns, here the record itself.
+# Python 3.10-3.12 quote a field holding CR or LF only if the terminator
+# holds it, so "\r\n" gives 3.13's quoting on every version.
+_CSV_RECORD = csv.writer(SimpleNamespace(write=str), lineterminator="\r\n")
+
+
+def _csv_record(fields: Iterable[object]) -> str:
+    """One CSV record without its terminator, CR and LF fields quoted."""
+    return _CSV_RECORD.writerow(fields)[:-2]
+
+
 def write_csv(log: EventLog, path: PathLike) -> None:
     """Write a log as CSV, one row per work item, in log order."""
     path = Path(path)
+    rows = ((item.trace_id, item.activity, item.resource,
+             format_timestamp(item.start), format_timestamp(item.end))
+            for item in log.items)
     with path.open("w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
-        writer.writerows(
-            (item.trace_id, item.activity, item.resource,
-             format_timestamp(item.start), format_timestamp(item.end))
-            for item in log.items
-        )
+        if any("\r" in item.trace_id or "\r" in item.activity
+               or "\r" in item.resource for item in log.items):
+            handle.writelines(f"{_csv_record(row)}\n" for row in rows)
+        else:
+            writer.writerows(rows)
 
 
 def _local_name(tag: str) -> str:

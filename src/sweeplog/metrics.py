@@ -18,14 +18,15 @@ computed only between items of the same resource.  From it:
 
 Pairs that do not overlap add 0, so every index and count comes from one
 start-order sweep over overlapped pairs: O(n log n + overlapped pairs)
-per resource.
+per resource.  One pair generator serves ``summarize`` and
+``overlapped_pairs``; ``summarize`` builds no object per pair.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb, fsum
-from typing import Mapping, Optional
+from typing import Iterator, Mapping, Optional
 
 from .model import EventLog, ResourceSegment, WorkItem, segments_per_resource
 
@@ -91,41 +92,49 @@ def overlap(a: WorkItem, b: WorkItem) -> float:
     return shared / longest
 
 
-def overlapped_pairs(segment: ResourceSegment) -> list[PairOverlap]:
-    """All unordered pairs of the segment with strictly positive intersection.
+def _pairs(
+    segment: ResourceSegment,
+) -> Iterator[tuple[WorkItem, WorkItem, float]]:
+    """Each overlapped pair as (earlier, later, overlap ratio), in start order.
 
-    Each positive-duration item pairs only with the items live at its start.
+    Each positive-duration item pairs only with the items live at its start,
+    so the intersection begins at that start.
     """
-    pairs = []
     live: list[WorkItem] = []
     for item in segment.items:
-        if item.end == item.start:
+        start, end = item.start, item.end
+        if end == start:
             continue
-        live = [other for other in live if other.end > item.start]
+        live = [other for other in live if other.end > start]
         for other in live:
-            pairs.append(PairOverlap(other.id, item.id, overlap(other, item)))
+            yield other, item, ((min(other.end, end) - start)
+                                / max(other.end - other.start, end - start))
         live.append(item)
-    return pairs
+
+
+def overlapped_pairs(segment: ResourceSegment) -> list[PairOverlap]:
+    """All unordered pairs of the segment with strictly positive intersection."""
+    return [PairOverlap(a.id, b.id, ratio) for a, b, ratio in _pairs(segment)]
 
 
 def _pair_means(
-    segment: ResourceSegment, pairs: list[PairOverlap]
+    segment: ResourceSegment, ratios: list[float]
 ) -> tuple[float, Optional[float]]:
     """(MTRI, MTRI_overlapped) of a segment from its overlapped pairs."""
-    if not pairs:
+    if not ratios:
         return 0.0, None
-    total = fsum(pair.ratio for pair in pairs)
-    return total / comb(len(segment), 2), total / len(pairs)
+    total = fsum(ratios)
+    return total / comb(len(segment), 2), total / len(ratios)
 
 
 def mtri(segment: ResourceSegment) -> float:
     """Mean overlap over every unordered pair; 0 with fewer than two items."""
-    return _pair_means(segment, overlapped_pairs(segment))[0]
+    return _pair_means(segment, [r for _, _, r in _pairs(segment)])[0]
 
 
 def mtri_overlapped(segment: ResourceSegment) -> Optional[float]:
     """Mean overlap over the overlapped pairs only; None when there are none."""
-    return _pair_means(segment, overlapped_pairs(segment))[1]
+    return _pair_means(segment, [r for _, _, r in _pairs(segment)])[1]
 
 
 def mtli(log: EventLog) -> float:
@@ -146,22 +155,19 @@ def summarize(log: EventLog) -> MetricsReport:
     """Compute every index plus the summary counts in one pass."""
     mtri_all: dict[str, float] = {}
     mtri_over: dict[str, float] = {}
-    multitasked_activities: set[str] = set()
-    overlapped_items: set[object] = set()
+    overlapped: dict[object, str] = {}  # item id -> activity
     total_pairs = 0
 
     for segment in segments_per_resource(log):
-        pairs = overlapped_pairs(segment)
-        mtri_all[segment.resource], restricted = _pair_means(segment, pairs)
-        if restricted is None:
-            continue
-        total_pairs += len(pairs)
-        mtri_over[segment.resource] = restricted
-        by_id = {item.id: item for item in segment.items}
-        for pair in pairs:
-            for wiid in (pair.first_id, pair.second_id):
-                overlapped_items.add(wiid)
-                multitasked_activities.add(by_id[wiid].activity)
+        ratios = []
+        for earlier, later, ratio in _pairs(segment):
+            ratios.append(ratio)
+            overlapped[earlier.id] = earlier.activity
+            overlapped[later.id] = later.activity
+        mtri_all[segment.resource], restricted = _pair_means(segment, ratios)
+        if restricted is not None:
+            total_pairs += len(ratios)
+            mtri_over[segment.resource] = restricted
 
     mtli_value = fsum(mtri_all.values()) / len(mtri_all) if mtri_all else 0.0
     mtwii_defined = bool(mtri_over)
@@ -169,8 +175,8 @@ def summarize(log: EventLog) -> MetricsReport:
         fsum(mtri_over.values()) / len(mtri_over) if mtwii_defined else 0.0
     )
     counts = SummaryCounts(
-        tasks_multitasked=len(multitasked_activities),
-        events_overlapped=len(overlapped_items),
+        tasks_multitasked=len(set(overlapped.values())),
+        events_overlapped=len(overlapped),
         resources_multitasking=len(mtri_over),
         pairs_overlapped=total_pairs,
     )

@@ -7,34 +7,46 @@ oracles run explicit double loops over ordered pairs.  The all-pairs
 straightforward quadratic versions the library's sweeps replaced, and
 ``coalesced_by_shares`` is the share-summing adjuster that the virtual
 clock replaced.  ``read_xes_tree`` is the whole-tree XES reader that the
-streaming ``read_xes`` replaced.
+streaming ``read_xes`` replaced.  ``summarize_by_pair_objects`` is the
+``summarize`` that built one ``PairOverlap`` per overlapped pair (with
+``overlapped_pairs_by_sweep``), and ``aux_text_by_rows`` is the ``aux``
+table written one ``writerow`` per share, the loop that the pre-rendered
+rows replaced.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import random
 import xml.etree.ElementTree as ET
 from fractions import Fraction
 from itertools import combinations
+from math import comb, fsum
 from pathlib import Path
+
+from sweeplog.cli import AUX_COLUMNS
 
 from sweeplog.logio import (
     LogFormatError,
     _assemble,
     _local_name,
     _Row,
+    format_timestamp,
     parse_timestamp,
 )
-from sweeplog.metrics import PairOverlap
+from sweeplog.metrics import MetricsReport, PairOverlap, SummaryCounts, overlap
 from sweeplog.model import (
     EventLog,
     ResourceSegment,
     WorkItem,
+    _round_half_up,
     segments_per_resource,
     validate_log,
 )
 from sweeplog.sweep import (
     CoalescedItem,
+    _swept_resources,
     build_aux_items,
     build_intervals,
     build_time_points,
@@ -444,3 +456,92 @@ def read_xes_tree(path) -> EventLog:
             if pending:
                 raise error("'start' without a matching complete", activity)
     return _assemble(rows)
+
+
+def overlapped_pairs_by_sweep(segment) -> list[PairOverlap]:
+    """The start-order sweep, one ``PairOverlap`` from ``overlap()`` each."""
+    pairs = []
+    live: list[WorkItem] = []
+    for item in segment.items:
+        if item.end == item.start:
+            continue
+        live = [other for other in live if other.end > item.start]
+        for other in live:
+            pairs.append(PairOverlap(other.id, item.id, overlap(other, item)))
+        live.append(item)
+    return pairs
+
+
+def summarize_by_pair_objects(log: EventLog) -> MetricsReport:
+    """Every index and count from ``PairOverlap`` lists, ids and activities
+    collected by a second walk over the pairs."""
+    mtri_all: dict[str, float] = {}
+    mtri_over: dict[str, float] = {}
+    multitasked_activities: set[str] = set()
+    overlapped_items: set[object] = set()
+    total_pairs = 0
+
+    for segment in segments_per_resource(log):
+        pairs = overlapped_pairs_by_sweep(segment)
+        if not pairs:
+            mtri_all[segment.resource] = 0.0
+            continue
+        total = fsum(pair.ratio for pair in pairs)
+        mtri_all[segment.resource] = total / comb(len(segment), 2)
+        mtri_over[segment.resource] = total / len(pairs)
+        total_pairs += len(pairs)
+        by_id = {item.id: item for item in segment.items}
+        for pair in pairs:
+            for wiid in (pair.first_id, pair.second_id):
+                overlapped_items.add(wiid)
+                multitasked_activities.add(by_id[wiid].activity)
+
+    mtwii_defined = bool(mtri_over)
+    return MetricsReport(
+        mtli=fsum(mtri_all.values()) / len(mtri_all) if mtri_all else 0.0,
+        mtwii=(fsum(mtri_over.values()) / len(mtri_over)
+               if mtwii_defined else 0.0),
+        mtwii_defined=mtwii_defined,
+        mtri_all=mtri_all,
+        mtri_overlapped=mtri_over,
+        counts=SummaryCounts(
+            tasks_multitasked=len(multitasked_activities),
+            events_overlapped=len(overlapped_items),
+            resources_multitasking=len(mtri_over),
+            pairs_overlapped=total_pairs,
+        ),
+    )
+
+
+def aux_text_by_rows(log: EventLog) -> str:
+    """The ``aux`` table, one ``writerow`` of eight fields per share.
+
+    Each row goes through a writer whose terminator is CRLF, which then
+    gives way to LF: Python 3.10-3.12 quote a field holding CR or LF only
+    when the terminator holds that character, as 3.13 always does.
+    """
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\r\n")
+    lines = []
+
+    def writerow(row) -> None:
+        buffer.seek(0)
+        buffer.truncate()
+        writer.writerow(row)
+        lines.append(buffer.getvalue()[:-2] + "\n")
+
+    writerow(AUX_COLUMNS)
+    parents = log.by_id()
+    aux_id = 0
+    for resource, _, intervals in _swept_resources(log):
+        for interval in intervals:
+            live = len(interval.active_ids)
+            start = format_timestamp(interval.start)
+            end = format_timestamp(interval.end)
+            portion = _round_half_up(interval.span, live)
+            for wiid in interval.active_ids:
+                aux_id += 1
+                parent = parents[wiid]
+                writerow((aux_id, wiid, parent.trace_id, parent.activity,
+                          resource, start, end, portion))
+    return "".join(lines)

@@ -17,7 +17,7 @@ from sweeplog.logio import (
 from sweeplog.metrics import summarize
 from sweeplog.sweep import format_adjustment_table
 
-from helpers import FOUR_TASK_CSV
+from helpers import FOUR_TASK_CSV, xes_event
 
 MINUTE = 60_000
 
@@ -287,6 +287,10 @@ def test_checked_in_fixture_is_the_four_task_log(four_csv):
     ("adjust", "four_tasks.csv", "four_tasks.adjusted.csv"),
     ("adjust", "thirds.csv", "thirds.adjusted.csv"),
     ("aux", "thirds.csv", "thirds.aux.csv"),
+    # Names with a comma, a quote, LF, CR and CRLF, as Python 3.13 writes
+    # them; every version must write the same bytes.
+    ("adjust", "quoted.csv", "quoted.adjusted.csv"),
+    ("aux", "quoted.csv", "quoted.aux.csv"),
 ])
 def test_outputs_match_the_checked_in_golden_files(tmp_path, command, source,
                                                    golden):
@@ -295,3 +299,24 @@ def test_outputs_match_the_checked_in_golden_files(tmp_path, command, source,
     out = tmp_path / "out.csv"
     assert run([command, "--in", str(data / source), "--out", str(out)]) == 0
     assert out.read_bytes() == (data / golden).read_bytes()
+
+
+def test_carriage_return_in_an_xes_name_is_quoted_in_csv(tmp_path, capsys):
+    source = tmp_path / "in.xes"
+    source.write_text(
+        '<log><trace><string key="concept:name" value="t1"/>'
+        + "".join(xes_event("a&#13;b", "R1", transition,
+                            f"2020-01-01T08:00:0{second}Z")
+                  for transition, second in (("start", 0), ("complete", 5)))
+        + "</trace></log>", encoding="utf-8")
+    assert read_xes(source).items[0].activity == "a\rb"
+    for command, fields in (("adjust", 5), ("aux", 8)):
+        out = tmp_path / f"{command}.csv"
+        assert run([command, "--in", str(source), "--out", str(out)]) == 0
+        assert b',"a\rb",' in out.read_bytes()
+        with out.open(newline="", encoding="utf-8") as handle:
+            rows = list(csv.reader(handle))
+        assert [len(row) for row in rows] == [fields, fields]
+    assert run(["metrics", "--in", str(tmp_path / "adjust.csv")]) == 0
+    assert read_csv(tmp_path / "adjust.csv") == read_xes(source)
+    assert capsys.readouterr().err == ""

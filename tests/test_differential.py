@@ -11,15 +11,19 @@ again would give.  Crowded logs, where up to 240 items are live at once,
 check the integer clock where its scale D grows to hundreds of bits.
 The streaming XES reader is checked against the whole-tree reader it
 replaced, on these logs written as XES and on hand-written documents.
+``summarize`` is checked against the ``PairOverlap``-based one it
+replaced, and the ``aux`` file against one ``writerow`` per share, byte
+for byte, on logs whose names need CSV quoting.
 """
 
 import csv
+import io
 import random
 from math import lcm
 
 import pytest
 
-from sweeplog import sweep
+from sweeplog import metrics, sweep
 from sweeplog.cli import run
 from sweeplog.inject import find_adjacent_pairs, inject
 from sweeplog.logio import (
@@ -51,6 +55,7 @@ from sweeplog.sweep import adjust_log
 from helpers import (
     adjacent_pairs_by_rescan,
     adversarial_items,
+    aux_text_by_rows,
     coalesced_by_shares,
     make_log,
     mtli_by_double_loop,
@@ -61,6 +66,7 @@ from helpers import (
     random_segment_items,
     read_xes_tree,
     shares_by_resource,
+    summarize_by_pair_objects,
     wi,
     xes_event,
     xes_text,
@@ -192,6 +198,24 @@ def test_summarize_matches_references(logs):
         assert close(mtwii(log), expected_mtwii)
         assert report.mtwii_defined == (expected_mtwii is not None)
         assert close(report.mtwii, expected_mtwii or 0.0)
+
+
+def test_summarize_equals_the_pair_object_reference(logs, crowded_logs):
+    # fsum is correctly rounded, so the order of the ratios cannot matter.
+    for log in logs + crowded_logs:
+        assert summarize(log) == summarize_by_pair_objects(log)
+
+
+def test_summarize_builds_no_pair_object(logs, crowded_logs, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a pair object or overlap() call was made")
+
+    chosen = logs[:50] + crowded_logs[-2:]
+    expected = [summarize_by_pair_objects(log) for log in chosen]
+    monkeypatch.setattr(metrics, "PairOverlap", forbidden)
+    monkeypatch.setattr(metrics, "overlap", forbidden)
+    assert [summarize(log) for log in chosen] == expected
+    assert sum(report.counts.pairs_overlapped for report in expected) > 0
 
 
 def test_adjacent_pairs_match_rescan(logs):
@@ -436,3 +460,62 @@ def test_xes_readers_raise_the_same_error(name, tmp_path):
             reader(path)
         messages.append(str(caught.value))
     assert messages[0] == messages[1]
+
+
+# Name parts that CSV must quote (comma, quote, CR, LF, CRLF) or must
+# keep as they are (a leading space, a non-ASCII letter).
+NAME_PARTS = ("a", ",", '"', "\n", "\r", "\r\n", "é")
+
+
+def quoted_name(rng):
+    lead = " " if rng.random() < 0.25 else ""
+    return lead + "".join(rng.choices(NAME_PARTS, k=rng.randint(1, 4)))
+
+
+@pytest.fixture(scope="module")
+def quoted_logs():
+    rng = random.Random(4180)
+    logs = []
+    for _ in range(60):
+        items = adversarial_items(rng, max_items=15)
+        names = {}  # the same name in, the same name out
+        for kind in ("trace_id", "activity", "resource"):
+            for old in {getattr(item, kind) for item in items}:
+                names[kind, old] = quoted_name(rng)
+        logs.append(make_log([
+            WorkItem(item.id, names["activity", item.activity],
+                     names["resource", item.resource],
+                     names["trace_id", item.trace_id], item.start, item.end)
+            for item in items
+        ]))
+    return logs
+
+
+def fields(log):
+    return sorted((item.trace_id, item.activity, item.resource, item.start,
+                   item.end) for item in log.items)
+
+
+def test_csv_round_trips_names_that_need_quoting(quoted_logs, tmp_path):
+    path = tmp_path / "log.csv"
+    names = set()
+    for log in quoted_logs:
+        write_csv(log, path)
+        assert fields(read_csv(path)) == fields(log)
+        names.update(name for i in log.items
+                     for name in (i.trace_id, i.activity, i.resource))
+    for part in NAME_PARTS:
+        assert any(part in name for name in names)
+    assert any(name.startswith(" ") for name in names)
+
+
+def test_aux_file_is_the_per_share_rows_byte_for_byte(quoted_logs, tmp_path):
+    source, out = tmp_path / "in.csv", tmp_path / "aux.csv"
+    rows = 0
+    for log in quoted_logs:
+        write_csv(log, source)
+        assert run(["aux", "--in", str(source), "--out", str(out)]) == 0
+        expected = aux_text_by_rows(read_csv(source))
+        assert out.read_bytes() == expected.encode("utf-8")
+        rows += len(list(csv.reader(io.StringIO(expected, newline=""))))
+    assert rows > 1_000

@@ -1,3 +1,5 @@
+import csv
+import io
 import random
 import sys
 import tracemalloc
@@ -10,6 +12,7 @@ import pytest
 from sweeplog.logio import (
     CSV_COLUMNS,
     LogFormatError,
+    _csv_record,
     format_timestamp,
     infer_format,
     parse_timestamp,
@@ -345,6 +348,51 @@ class TestCsvRoundTrip:
         assert by_activity["T2"].duration == 1_950_000
         assert by_activity["T3"].duration == 1_750_000
         assert by_activity["T4"].duration == 700_000
+
+
+def rfc_4180_record(fields) -> str:
+    """A record as Python 3.13's minimal quoting writes it: a field holding
+    a comma, a quote, CR or LF is quoted, and so is a lone empty field."""
+    if fields == [""]:
+        return '""'
+    return ",".join(
+        '"' + field.replace('"', '""') + '"'
+        if any(char in field for char in ',"\r\n') else field
+        for field in fields)
+
+
+class TestCsvQuoting:
+    def test_record_quotes_as_python_3_13(self):
+        rng = random.Random(4180)
+        alphabet = 'ab,"\r\n \t\'é'
+        for _ in range(20_000):
+            fields = ["".join(rng.choices(alphabet, k=rng.randint(0, 5)))
+                      for _ in range(rng.randint(1, 5))]
+            expected = rfc_4180_record(fields)
+            assert _csv_record(fields) == expected
+            reread = next(csv.reader(io.StringIO(expected, newline="")))
+            assert reread == fields
+            if sys.version_info >= (3, 13):
+                buffer = io.StringIO()
+                csv.writer(buffer, lineterminator="\n").writerow(fields)
+                assert buffer.getvalue() == expected + "\n"
+
+    def test_fields_holding_cr_or_lf_are_quoted(self, tmp_path):
+        log = make_log([
+            wi(1, 0, 10, resource="R\r1", activity="a\rb", trace="c\r\n1"),
+            wi(2, 5, 20, resource="R\r1", activity="x\ny", trace="c,2"),
+        ])
+        path = tmp_path / "log.csv"
+        write_csv(log, path)
+        assert path.read_bytes().decode("utf-8") == (
+            ",".join(CSV_COLUMNS) + "\n"
+            + f'"c\r\n1","a\rb","R\r1",{format_timestamp(0)},'
+            f"{format_timestamp(10)}\n"
+            + f'"c,2","x\ny","R\r1",{format_timestamp(5)},'
+            f"{format_timestamp(20)}\n")
+        assert [(i.trace_id, i.activity, i.resource)
+                for i in read_csv(path).items] == [
+            ("c\r\n1", "a\rb", "R\r1"), ("c,2", "x\ny", "R\r1")]
 
 
 class TestReadXes:
