@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from itertools import count
 from typing import Optional, Sequence
 
 from .inject import inject
@@ -25,8 +26,8 @@ from .logio import (
     write_report,
 )
 from .metrics import summarize
-from .model import WorkItemId, _round_half_up
-from .sweep import _swept_resources, adjust_log, format_adjustment_table
+from .model import _round_half_up
+from .sweep import _sweeps, adjust_log, format_adjustment_table
 
 AUX_COLUMNS = ("aux_id", "parent_id", *CSV_COLUMNS, "duration_ms")
 
@@ -43,32 +44,22 @@ def _cmd_aux(args: argparse.Namespace) -> int:
     log = read_log(args.input, args.format)
     if args.debug_table:
         print(format_adjustment_table(log), file=sys.stderr)
-    parents = log.by_id()
-    aux_id = 0
+    heads = {item.id: _csv_record((item.id, item.trace_id, item.activity))
+             for item in log.items}
+    aux_ids = count(1)
     with open(args.out, "w", newline="", encoding="utf-8") as handle:
         handle.write(_csv_record(AUX_COLUMNS) + "\n")
-        # LogAdjustment.aux_items rows; an interval's shares share all but
-        # ids.  Each item's "parent_id,case_id,activity" is rendered once,
-        # and each interval's "resource,start,end,portion" once; only the
-        # resource can need quoting, so it is rendered once per resource.
-        for resource, _, intervals in _swept_resources(log):
+        # LogAdjustment.aux_items rows.  Each item's "parent_id,case_id,
+        # activity" and each interval's "resource,start,end,portion" are
+        # rendered once; of the latter only the resource can need quoting.
+        for resource, _, cuts in _sweeps(log):
             resource_text = _csv_record((resource,))
-            heads: dict[WorkItemId, str] = {}
-            for interval in intervals:
-                live = len(interval.active_ids)
-                tail = (f"{resource_text},{format_timestamp(interval.start)},"
-                        f"{format_timestamp(interval.end)},"
-                        f"{_round_half_up(interval.span, live)}\n")
-                rows = []
-                for wiid in interval.active_ids:
-                    head = heads.get(wiid)
-                    if head is None:
-                        parent = parents[wiid]
-                        head = heads[wiid] = _csv_record(
-                            (wiid, parent.trace_id, parent.activity))
-                    aux_id += 1
-                    rows.append(f"{aux_id},{head},{tail}")
-                handle.write("".join(rows))
+            for start, end, live in cuts:
+                tail = (f"{resource_text},{format_timestamp(start)},"
+                        f"{format_timestamp(end)},"
+                        f"{_round_half_up(end - start, len(live))}\n")
+                handle.write("".join([f"{next(aux_ids)},{heads[wiid]},{tail}"
+                                      for wiid in live]))
     return 0
 
 

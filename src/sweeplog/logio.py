@@ -25,15 +25,17 @@ import csv
 import json
 import re
 import xml.etree.ElementTree as ET
+from bisect import bisect_left, bisect_right
 from datetime import date, datetime, time, timedelta, timezone
 from functools import lru_cache
 from itertools import groupby
+from operator import attrgetter
 from pathlib import Path
 from types import SimpleNamespace
 from typing import BinaryIO, Iterable, Iterator, Union
 
 from .metrics import MetricsReport
-from .model import EventLog, WorkItem, _id_key, _ordered, _round_half_up
+from .model import EventLog, WorkItem, _id_key, _round_half_up
 
 PathLike = Union[str, Path]
 
@@ -147,12 +149,19 @@ def format_timestamp(ms: int) -> str:
 
 def _assemble(rows: Iterable[_Row]) -> EventLog:
     # Ids are sequential in canonical row order, so re-reads get identical
-    # ids.  Every row a reader appends already meets validate_log's rules.
-    return _ordered(
-        WorkItem(seq, activity, resource, trace_id, start, end)
-        for seq, (trace_id, start, end, activity, resource)
-        in enumerate(sorted(rows), start=1)
-    )
+    # ids.  Rows already meet validate_log's rules and order, but that ids
+    # sort as text: consecutive ids differ in text order only across 10^k.
+    items = [WorkItem(seq, activity, resource, trace_id, start, end)
+             for seq, (trace_id, start, end, activity, resource)
+             in enumerate(sorted(rows), start=1)]
+    group, power = attrgetter("trace_id", "start"), 10
+    while power <= len(items):  # sort the (trace id, start) group of 10^k
+        key = group(items[power - 1])
+        lo = bisect_left(items, key, key=group)
+        hi = bisect_right(items, key, lo, key=group)
+        items[lo:hi] = sorted(items[lo:hi], key=lambda w: _id_key(w.id))
+        power *= 10
+    return EventLog(tuple(items))
 
 
 def read_csv(path: PathLike) -> EventLog:

@@ -6,9 +6,12 @@ evenly among the items live over it (processor sharing): one virtual clock
 per resource advances by span / live between consecutive boundaries, and
 an item's adjusted duration, the exact sum of its shares, is the clock's
 advance from its start to its end.  Adjusted durations of a resource add
-up to the measure of the union of its busy intervals, never more.  The
-clock is an integer count of 1/D ms, D the lcm of the live counts, so all
-arithmetic is exact; exact ends and shares are built only on request.
+up to the measure of the union of its busy intervals, never more.  Ends
+come from ``_clocks``, which needs no ids: its clock is an integer count
+of 1/D ms, D the lcm of the live counts, so all arithmetic is exact.  The
+id sweep, ``_bounds`` then ``_cut``, gives the shares, the ``aux`` table
+and the debug table, and the point, interval and share builders view it.
+Exact ends and shares are built only on request.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, chain
+from itertools import accumulate, chain, count
 from math import lcm
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -26,9 +29,7 @@ from .model import (
     ResourceSegment,
     WorkItem,
     WorkItemId,
-    _id_key,
     _round_half_up,
-    segments_per_resource,
 )
 
 PLUS = "+"
@@ -126,12 +127,9 @@ class LogAdjustment:
 
     @cached_property
     def aux_by_resource(self) -> Mapping[str, tuple[AuxWorkItem, ...]]:
-        shares: dict[str, tuple[AuxWorkItem, ...]] = {}
-        next_id = 1
-        for resource, _, intervals in _swept_resources(self.source):
-            shares[resource] = tuple(build_aux_items(intervals, next_id))
-            next_id += len(shares[resource])
-        return shares
+        ids = count(1)
+        return {resource: tuple(_shares(cuts, ids))
+                for resource, _, cuts in _sweeps(self.source)}
 
     @property
     def aux_items(self) -> tuple[AuxWorkItem, ...]:
@@ -146,21 +144,8 @@ def build_time_points(segment: ResourceSegment) -> list[TimePoint]:
     one exception is an instantaneous item, whose own '+' must precede its
     own '-'; its two boundaries swap ranks so the sweep stays consistent.
     """
-    decorated: list[tuple[int, int, str, TimePoint]] = []
-    for item in segment.items:
-        instantaneous = item.start == item.end
-        plus_rank = 0 if instantaneous else 1
-        minus_rank = 1 if instantaneous else 0
-        decorated.append(
-            (item.start, plus_rank, _id_key(item.id),
-             TimePoint(item.start, item.id, PLUS))
-        )
-        decorated.append(
-            (item.end, minus_rank, _id_key(item.id),
-             TimePoint(item.end, item.id, MINUS))
-        )
-    decorated.sort(key=lambda entry: entry[:3])
-    return [point for *_, point in decorated]
+    return [TimePoint(time, wiid, PLUS if plus else MINUS)
+            for time, _, _, wiid, plus in _bounds(segment.items)]
 
 
 def build_intervals(points: Sequence[TimePoint]) -> list[ActiveInterval]:
@@ -169,19 +154,8 @@ def build_intervals(points: Sequence[TimePoint]) -> list[ActiveInterval]:
     Consecutive boundary points delimit candidate intervals; those with an
     empty live set or zero length are dropped.
     """
-    intervals: list[ActiveInterval] = []
-    active: list[WorkItemId] = []
-    for i in range(len(points) - 1):
-        point, nxt = points[i], points[i + 1]
-        if point.symbol == PLUS:
-            active.append(point.wiid)
-        else:
-            active.remove(point.wiid)
-        if active and nxt.tstamp > point.tstamp:
-            intervals.append(
-                ActiveInterval(point.tstamp, nxt.tstamp, tuple(active))
-            )
-    return intervals
+    bounds = ((p.tstamp, False, "", p.wiid, p.symbol == PLUS) for p in points)
+    return [ActiveInterval(*cut) for cut in _cut(bounds)]
 
 
 def build_aux_items(
@@ -192,32 +166,59 @@ def build_aux_items(
     Each share's duration is the interval span divided by the number of
     live items, exact.
     """
-    shares: list[AuxWorkItem] = []
-    next_id = first_id
-    for interval in intervals:
-        portion = Fraction(interval.span, len(interval.active_ids))
-        for wiid in interval.active_ids:
-            shares.append(
-                AuxWorkItem(
-                    id=next_id,
-                    start=interval.start,
-                    end=interval.end,
-                    parent_id=wiid,
-                    duration=portion,
-                )
-            )
-            next_id += 1
-    return shares
+    cuts = ((iv.start, iv.end, iv.active_ids) for iv in intervals)
+    return list(_shares(cuts, count(first_id)))
 
 
-def _swept_resources(log: EventLog) -> Iterator[
-    tuple[str, list[TimePoint], list[ActiveInterval]]
-]:
-    """Per resource: points and intervals of its positive-duration items."""
-    for segment in segments_per_resource(log):
-        swept = tuple(item for item in segment.items if item.end > item.start)
-        points = build_time_points(ResourceSegment(segment.resource, swept))
-        yield segment.resource, points, build_intervals(points)
+# The id sweep.  A bound is (time, rank, str(id), id, is_plus), a cut is
+# (start, end, live ids): ActiveInterval's fields.
+_Bound = tuple[Instant, bool, str, WorkItemId, bool]
+_Cut = tuple[Instant, Instant, tuple[WorkItemId, ...]]
+
+
+def _bounds(items: Iterable[WorkItem]) -> list[_Bound]:
+    # build_time_points' order.  (time, rank, str(id)) is unique, so the id
+    # and the flag are never compared.
+    bounds: list[_Bound] = []
+    for item in items:
+        key, instant = str(item.id), item.start == item.end
+        bounds.append((item.start, not instant, key, item.id, True))
+        bounds.append((item.end, instant, key, item.id, False))
+    bounds.sort()
+    return bounds
+
+
+def _cut(bounds: Iterable[_Bound]) -> Iterator[_Cut]:
+    # The live ids in the order they became live; a dict drops one in O(1).
+    live: dict[WorkItemId, None] = {}
+    last = 0
+    for time, _, _, wiid, plus in bounds:
+        if live and time > last:
+            yield last, time, tuple(live)
+        last = time
+        if plus:
+            live[wiid] = None
+        else:
+            del live[wiid]
+
+
+def _shares(cuts: Iterable[_Cut], ids: Iterator[int]) -> Iterator[AuxWorkItem]:
+    for start, end, live in cuts:
+        portion = Fraction(end - start, len(live))
+        for wiid in live:
+            yield AuxWorkItem(next(ids), start, end, wiid, portion)
+
+
+def _sweeps(log: EventLog) -> Iterator[tuple[str, list[_Bound], list[_Cut]]]:
+    # Per resource in name order: bounds and cuts of positive-duration items.
+    swept: dict[str, list[WorkItem]] = {}
+    for item in log.items:
+        items = swept.setdefault(item.resource, [])
+        if item.end > item.start:
+            items.append(item)
+    for resource in sorted(swept):
+        bounds = _bounds(swept[resource])
+        yield resource, bounds, list(_cut(bounds))
 
 
 def _clocks(log: EventLog) -> dict[str, tuple[int, dict[Instant, int]]]:
@@ -276,20 +277,19 @@ def format_adjustment_table(log: EventLog) -> str:
     decimals.
     """
     lines: list[str] = []
-    for resource, points, intervals in _swept_resources(log):
+    for resource, bounds, cuts in _sweeps(log):
         point_text = ", ".join(
-            f"({p.tstamp}, {p.wiid}, '{p.symbol}')" for p in points
+            f"({time}, {wiid}, '{PLUS if plus else MINUS}')"
+            for time, _, _, wiid, plus in bounds
         )
         interval_text = ", ".join(
-            "({0}, {1}, '{2}')".format(
-                iv.start, iv.end, ",".join(str(w) for w in iv.active_ids)
-            )
-            for iv in intervals
+            f"({start}, {end}, '{','.join(map(str, live))}')"
+            for start, end, live in cuts
         )
         share_text = ", ".join(
-            f"({s.start}, {s.end}, '{s.parent_id}', "
-            f"{_format_number(s.duration)})"
-            for s in build_aux_items(intervals)
+            f"({start}, {end}, '{wiid}', "
+            f"{_format_number(Fraction(end - start, len(live)))})"
+            for start, end, live in cuts for wiid in live
         )
         lines.append(f"resource {resource}")
         lines.append(f"  points    = {{{point_text}}}")

@@ -11,7 +11,11 @@ streaming ``read_xes`` replaced.  ``summarize_by_pair_objects`` is the
 ``summarize`` that built one ``PairOverlap`` per overlapped pair (with
 ``overlapped_pairs_by_sweep``), and ``aux_text_by_rows`` is the ``aux``
 table written one ``writerow`` per share, the loop that the pre-rendered
-rows replaced.
+rows replaced.  ``time_points_by_objects``, ``intervals_by_objects``,
+``aux_items_by_objects``, ``swept_by_objects`` and
+``adjustment_table_by_objects`` are the sweep that built one ``TimePoint``
+per boundary and one ``ActiveInterval`` per interval, which the id sweep
+of tuples replaced; ``shares_by_resource`` and ``aux_text_by_rows`` use it.
 """
 
 from __future__ import annotations
@@ -40,16 +44,18 @@ from sweeplog.model import (
     EventLog,
     ResourceSegment,
     WorkItem,
+    _id_key,
     _round_half_up,
     segments_per_resource,
     validate_log,
 )
 from sweeplog.sweep import (
+    MINUS,
+    PLUS,
+    ActiveInterval,
+    AuxWorkItem,
     CoalescedItem,
-    _swept_resources,
-    build_aux_items,
-    build_intervals,
-    build_time_points,
+    TimePoint,
 )
 
 RESOURCE = "R1"
@@ -195,14 +201,9 @@ def shares_by_resource(log: EventLog) -> dict:
     """
     shares = {}
     next_id = 1
-    for segment in segments_per_resource(log):
-        swept = ResourceSegment(
-            segment.resource,
-            tuple(item for item in segment.items if item.end > item.start),
-        )
-        intervals = build_intervals(build_time_points(swept))
-        shares[segment.resource] = tuple(build_aux_items(intervals, next_id))
-        next_id += len(shares[segment.resource])
+    for resource, _, intervals in swept_by_objects(log):
+        shares[resource] = tuple(aux_items_by_objects(intervals, next_id))
+        next_id += len(shares[resource])
     return shares
 
 
@@ -533,7 +534,7 @@ def aux_text_by_rows(log: EventLog) -> str:
     writerow(AUX_COLUMNS)
     parents = log.by_id()
     aux_id = 0
-    for resource, _, intervals in _swept_resources(log):
+    for resource, _, intervals in swept_by_objects(log):
         for interval in intervals:
             live = len(interval.active_ids)
             start = format_timestamp(interval.start)
@@ -545,3 +546,92 @@ def aux_text_by_rows(log: EventLog) -> str:
                 writerow((aux_id, wiid, parent.trace_id, parent.activity,
                           resource, start, end, portion))
     return "".join(lines)
+
+
+def time_points_by_objects(segment) -> list[TimePoint]:
+    """Every boundary as a ``TimePoint``, sorted by decorated tuples."""
+    decorated = []
+    for item in segment.items:
+        instantaneous = item.start == item.end
+        plus_rank = 0 if instantaneous else 1
+        minus_rank = 1 if instantaneous else 0
+        decorated.append(
+            (item.start, plus_rank, _id_key(item.id),
+             TimePoint(item.start, item.id, PLUS))
+        )
+        decorated.append(
+            (item.end, minus_rank, _id_key(item.id),
+             TimePoint(item.end, item.id, MINUS))
+        )
+    decorated.sort(key=lambda entry: entry[:3])
+    return [point for *_, point in decorated]
+
+
+def intervals_by_objects(points) -> list[ActiveInterval]:
+    """One ``ActiveInterval`` per span, the live ids kept in a list."""
+    intervals = []
+    active = []
+    for i in range(len(points) - 1):
+        point, nxt = points[i], points[i + 1]
+        if point.symbol == PLUS:
+            active.append(point.wiid)
+        else:
+            active.remove(point.wiid)
+        if active and nxt.tstamp > point.tstamp:
+            intervals.append(
+                ActiveInterval(point.tstamp, nxt.tstamp, tuple(active))
+            )
+    return intervals
+
+
+def aux_items_by_objects(intervals, first_id: int = 1) -> list[AuxWorkItem]:
+    """One ``AuxWorkItem`` per (interval, live item), ids sequential."""
+    shares = []
+    next_id = first_id
+    for interval in intervals:
+        portion = Fraction(interval.span, len(interval.active_ids))
+        for wiid in interval.active_ids:
+            shares.append(AuxWorkItem(next_id, interval.start, interval.end,
+                                      wiid, portion))
+            next_id += 1
+    return shares
+
+
+def swept_by_objects(log: EventLog):
+    """Per resource: points and intervals of its positive-duration items."""
+    for segment in segments_per_resource(log):
+        swept = tuple(item for item in segment.items if item.end > item.start)
+        points = time_points_by_objects(ResourceSegment(segment.resource,
+                                                        swept))
+        yield segment.resource, points, intervals_by_objects(points)
+
+
+def _number_text(value: Fraction) -> str:
+    if value.denominator == 1:
+        return str(value.numerator)
+    return f"{float(value):.2f}".rstrip("0").rstrip(".")
+
+
+def adjustment_table_by_objects(log: EventLog) -> str:
+    """``format_adjustment_table`` rendered from the object sweep."""
+    lines = []
+    for resource, points, intervals in swept_by_objects(log):
+        point_text = ", ".join(
+            f"({p.tstamp}, {p.wiid}, '{p.symbol}')" for p in points
+        )
+        interval_text = ", ".join(
+            "({0}, {1}, '{2}')".format(
+                iv.start, iv.end, ",".join(str(w) for w in iv.active_ids)
+            )
+            for iv in intervals
+        )
+        share_text = ", ".join(
+            f"({s.start}, {s.end}, '{s.parent_id}', "
+            f"{_number_text(s.duration)})"
+            for s in aux_items_by_objects(intervals)
+        )
+        lines.append(f"resource {resource}")
+        lines.append(f"  points    = {{{point_text}}}")
+        lines.append(f"  intervals = {{{interval_text}}}")
+        lines.append(f"  shares    = {{{share_text}}}")
+    return "\n".join(lines)

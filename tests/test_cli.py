@@ -291,14 +291,23 @@ def test_checked_in_fixture_is_the_four_task_log(four_csv):
     # them; every version must write the same bytes.
     ("adjust", "quoted.csv", "quoted.adjusted.csv"),
     ("aux", "quoted.csv", "quoted.aux.csv"),
+    # The sweep's state, which --debug-table writes to stderr.
+    ("adjust --debug-table", "four_tasks.csv", "four_tasks.debug.txt"),
+    ("adjust --debug-table", "thirds.csv", "thirds.debug.txt"),
+    ("adjust --debug-table", "quoted.csv", "quoted.debug.txt"),
 ])
-def test_outputs_match_the_checked_in_golden_files(tmp_path, command, source,
-                                                   golden):
+def test_outputs_match_the_checked_in_golden_files(tmp_path, capsys, command,
+                                                   source, golden):
     # CI compares the installed script's output with the same files.
     data = Path(__file__).parent / "data"
     out = tmp_path / "out.csv"
-    assert run([command, "--in", str(data / source), "--out", str(out)]) == 0
-    assert out.read_bytes() == (data / golden).read_bytes()
+    assert run([*command.split(), "--in", str(data / source),
+                "--out", str(out)]) == 0
+    if "--debug-table" in command:
+        written = capsys.readouterr().err.encode("utf-8")
+    else:
+        written = out.read_bytes()
+    assert written == (data / golden).read_bytes()
 
 
 def test_carriage_return_in_an_xes_name_is_quoted_in_csv(tmp_path, capsys):

@@ -13,7 +13,10 @@ The streaming XES reader is checked against the whole-tree reader it
 replaced, on these logs written as XES and on hand-written documents.
 ``summarize`` is checked against the ``PairOverlap``-based one it
 replaced, and the ``aux`` file against one ``writerow`` per share, byte
-for byte, on logs whose names need CSV quoting.
+for byte, on logs whose names need CSV quoting.  The id sweep's points,
+intervals, shares, ``aux`` file and debug table are checked against the
+object sweep it replaced, and the readers' one sort against the order
+``validate_log`` gives.
 """
 
 import csv
@@ -23,7 +26,7 @@ from math import lcm
 
 import pytest
 
-from sweeplog import metrics, sweep
+from sweeplog import metrics, model, sweep
 from sweeplog.cli import run
 from sweeplog.inject import find_adjacent_pairs, inject
 from sweeplog.logio import (
@@ -50,13 +53,22 @@ from sweeplog.model import (
     segments_per_resource,
     validate_log,
 )
-from sweeplog.sweep import adjust_log
+from sweeplog.sweep import (
+    adjust_log,
+    build_aux_items,
+    build_intervals,
+    build_time_points,
+    format_adjustment_table,
+)
 
 from helpers import (
     adjacent_pairs_by_rescan,
+    adjustment_table_by_objects,
     adversarial_items,
+    aux_items_by_objects,
     aux_text_by_rows,
     coalesced_by_shares,
+    intervals_by_objects,
     make_log,
     mtli_by_double_loop,
     mtri_by_double_loop,
@@ -67,6 +79,8 @@ from helpers import (
     read_xes_tree,
     shares_by_resource,
     summarize_by_pair_objects,
+    swept_by_objects,
+    time_points_by_objects,
     wi,
     xes_event,
     xes_text,
@@ -117,7 +131,7 @@ def crowded_logs():
 def live_counts(log):
     return [
         {len(interval.active_ids) for interval in intervals}
-        for _, _, intervals in sweep._swept_resources(log)
+        for _, _, intervals in swept_by_objects(log)
     ]
 
 
@@ -299,6 +313,76 @@ def test_adjust_and_aux_build_no_share(logs, tmp_path, monkeypatch):
              str(round_half_up_ms(s.duration))]
             for s in shares
         ]
+
+
+def test_sweep_views_equal_the_object_sweep(logs, crowded_logs):
+    # Full segments, so instantaneous items are swept too.
+    for log in logs + crowded_logs:
+        for segment in segments_per_resource(log):
+            points = build_time_points(segment)
+            assert points == time_points_by_objects(segment)
+            intervals = build_intervals(points)
+            assert intervals == intervals_by_objects(points)
+            assert build_aux_items(intervals, 7) == aux_items_by_objects(
+                intervals, 7)
+        assert format_adjustment_table(log) == adjustment_table_by_objects(log)
+
+
+def test_aux_and_debug_table_build_no_point_or_interval(
+        logs, crowded_logs, tmp_path, monkeypatch, capsys):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a TimePoint or ActiveInterval was built")
+
+    expected = []
+    for index, log in enumerate(logs + crowded_logs):
+        write_csv(log, tmp_path / f"in{index}.csv")
+        read = read_csv(tmp_path / f"in{index}.csv")
+        expected.append((aux_text_by_rows(read),
+                         adjustment_table_by_objects(read),
+                         shares_by_resource(read)))
+    monkeypatch.setattr(sweep, "TimePoint", forbidden)
+    monkeypatch.setattr(sweep, "ActiveInterval", forbidden)
+    for index, (aux, table, shares) in enumerate(expected):
+        source, out = tmp_path / f"in{index}.csv", tmp_path / "aux.csv"
+        assert run(["aux", "--in", str(source), "--out", str(out),
+                    "--debug-table"]) == 0
+        assert out.read_bytes() == aux.encode("utf-8")
+        assert capsys.readouterr().err == table + "\n"
+        read = read_csv(source)
+        assert format_adjustment_table(read) == table
+        assert adjust_log(read).aux_by_resource == shares
+
+
+def text_order_groups(log):
+    """How many (trace id, start) groups hold both 10^k - 1 and 10^k."""
+    groups = {}
+    for item in log.items:
+        groups.setdefault((item.trace_id, item.start), set()).add(item.id)
+    return sum({10**k - 1, 10**k} <= ids
+               for ids in groups.values() for k in range(1, 4))
+
+
+@pytest.mark.parametrize("fmt", ["csv", "xes"])
+def test_reads_give_the_order_of_validate_log(logs, tmp_path, fmt):
+    # Read back, c1's twelve items share a start and hold ids 1-12, and
+    # the last ten of c2's items share one and hold ids 96-105.
+    straddling = make_log(
+        [wi(f"a{k}", 0, 1 + k, trace="c1") for k in range(12)]
+        + [wi(f"b{k}", 10 + k, 200, trace="c2") for k in range(83)]
+        + [wi(f"c{k}", 100, 101 + k, trace="c2") for k in range(10)])
+    path = tmp_path / f"log.{fmt}"
+    write_log(straddling, None, path)
+    read = read_log(path)
+    assert text_order_groups(read) == 2
+    assert [item.id for item in read.items[:4]] == [1, 10, 11, 12]
+    assert read == model._ordered(read.items)
+    groups = 0
+    for log in logs:
+        write_log(log, None, path)
+        read = read_log(path)
+        assert read == model._ordered(read.items)
+        groups += text_order_groups(read)
+    assert groups > 10
 
 
 @pytest.mark.parametrize("fmt", ["csv", "xes"])
