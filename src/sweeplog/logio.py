@@ -13,7 +13,7 @@ attributes are ignored on read and never written.  Interleavings where
 same-activity items of one trace and resource strictly nest cannot be
 expressed faithfully by lifecycle events and do not round-trip.  XES is
 written as fixed text, with ElementTree's escapes in attribute values,
-and read one trace at a time with ElementTree's ``iterparse``.
+and read one trace at a time through ``pyexpat`` callbacks.
 
 Timestamps are serialized as UTC ISO-8601 with milliseconds; anything a
 file supplies below one millisecond is rounded half-up on read.
@@ -24,7 +24,6 @@ from __future__ import annotations
 import csv
 import json
 import re
-import xml.etree.ElementTree as ET
 from bisect import bisect_left, bisect_right
 from datetime import date, datetime, time, timedelta, timezone
 from functools import lru_cache
@@ -32,7 +31,8 @@ from itertools import groupby
 from operator import attrgetter
 from pathlib import Path
 from types import SimpleNamespace
-from typing import BinaryIO, Iterable, Iterator, Union
+from typing import Iterable, Union
+from xml.parsers import expat
 
 from .metrics import MetricsReport
 from .model import EventLog, WorkItem, _id_key, _round_half_up
@@ -237,62 +237,54 @@ def write_csv(log: EventLog, path: PathLike) -> None:
             writer.writerows(rows)
 
 
-def _local_name(tag: str) -> str:
-    return tag.rsplit("}", 1)[-1]
-
-
 def read_xes(path: PathLike) -> EventLog:
     """Read the XES dialect, fusing start/complete pairs into work items.
 
     Pairing is FIFO per (trace, activity, resource) in document order.
     Unmatched events and unknown lifecycle transitions are errors naming
     the trace and activity.  The k-th trace, if unnamed, is called
-    ``trace-k``, a name that no named trace may also carry.  Traces are
-    read one at a time, so faults are reported in document order.
+    ``trace-k``, a name that no named trace may also carry.  Each trace is
+    checked as it ends, so faults are reported in document order.
     """
     path = Path(path)
-    try:
-        with path.open("rb") as handle:
-            return _assemble(_xes_rows(path, handle))
-    except ET.ParseError as exc:
-        raise LogFormatError(f"{path}: XML parse failure: {exc}") from exc
-
-
-def _xes_rows(path: Path, handle: BinaryIO) -> Iterator[_Row]:
-    def error(message: str, activity: str | None = None) -> LogFormatError:
-        where = f"trace {trace_id!r}"
-        if activity is not None:
-            where += f", activity {activity!r}"
-        return LogFormatError(f"{path}: {where}: {message}")
-
-    events = ET.iterparse(handle, ("start", "end"))
-    _, root = next(events)
-    depth = 0  # below the root
-    trace_count = 0
+    rows: list[_Row] = []
     named_by_id: dict[str, bool] = {}
-    for event, element in events:
-        depth += 1 if event == "start" else -1
-        if depth == 0:  # the root lets go of each child as soon as it ends
-            root.clear()
-        if depth or _local_name(element.tag) != "trace":
-            continue
+    names: list[str | None] = []  # the open trace's concept:name candidates
+    events: list[dict[str, str]] | None = None  # its events, None outside
+    event: dict[str, str] = {}  # the open event's attributes, or a throwaway
+    depth = trace_count = 0  # the root is at depth 1
+
+    def opened(tag: str, attrs: dict[str, str]) -> None:
+        nonlocal depth, events, event
+        if (depth := depth + 1) == 4 and events is not None and "key" in attrs:
+            event[attrs["key"]] = attrs.get("value", "")
+        elif depth == 3 and events is not None:
+            event = {}
+            if tag.rpartition("}")[2] == "event":
+                events.append(event)
+            elif attrs.get("key") == "concept:name":
+                names.append(attrs.get("value"))
+        elif depth == 2:
+            names.clear()
+            events = [] if tag.rpartition("}")[2] == "trace" else None
+
+    def closed(tag: str) -> None:
+        nonlocal depth, trace_count
+        if (depth := depth - 1) != 1 or events is None:
+            return  # not the end of a trace
         trace_count += 1
-        trace_id = next((child.get("value") for child in element
-                         if _local_name(child.tag) != "event"
-                         and child.get("key") == "concept:name"), None)
-        named = bool(trace_id)
-        trace_id = trace_id if named else f"trace-{trace_count}"
+        named = bool(names and names[0])
+        trace_id = names[0] if named else f"trace-{trace_count}"
         if named_by_id.setdefault(trace_id, named) != named:
-            raise LogFormatError(
-                f"{path}: trace name {trace_id!r} is both given and generated"
-            )
+            raise LogFormatError(f"{path}: trace name {trace_id!r} is both "
+                                 "given and generated")
+
+        def error(text: str, activity: str | None = None) -> LogFormatError:
+            where = "" if activity is None else f", activity {activity!r}"
+            return LogFormatError(f"{path}: trace {trace_id!r}{where}: {text}")
 
         open_starts: dict[tuple[str, str], list[int]] = {}
-        for child in element:
-            if _local_name(child.tag) != "event":
-                continue
-            attrs = {attr.get("key"): attr.get("value", "") for attr in child
-                     if attr.get("key") is not None}
+        for attrs in events:
             activity = attrs.get("concept:name")
             resource = attrs.get("org:resource")
             transition = attrs.get("lifecycle:transition", "").lower()
@@ -304,23 +296,38 @@ def _xes_rows(path: Path, handle: BinaryIO) -> Iterator[_Row]:
                 stamp = parse_timestamp(stamp_text)
             except LogFormatError as exc:
                 raise error(str(exc), activity) from None
-            key = (activity, resource)
             if transition == _TRANSITION_START:
-                open_starts.setdefault(key, []).append(stamp)
+                open_starts.setdefault((activity, resource), []).append(stamp)
             elif transition == _TRANSITION_COMPLETE:
-                pending = open_starts.get(key)
+                pending = open_starts.get((activity, resource))
                 if not pending:
                     raise error("'complete' without a prior start", activity)
                 start = pending.pop(0)
                 if stamp < start:
                     raise error("'complete' precedes its start", activity)
-                yield (trace_id, start, stamp, activity, resource)
+                rows.append((trace_id, start, stamp, activity, resource))
             else:
                 raise error("unsupported lifecycle:transition "
                             f"{attrs.get('lifecycle:transition')!r}", activity)
         for (activity, _), pending in open_starts.items():
             if pending:
                 raise error("'start' without a matching complete", activity)
+
+    def undefined(name: str, *_: object) -> None:  # entities expat skips
+        raise expat.ExpatError(  # as ElementTree; a context ends \f + name
+            f"undefined entity &{name.rpartition(chr(12))[2]};: line "
+            f"{parser.ErrorLineNumber}, column {parser.ErrorColumnNumber}")
+
+    parser = expat.ParserCreate(namespace_separator="}")
+    parser.StartElementHandler, parser.EndElementHandler = opened, closed
+    parser.SkippedEntityHandler = parser.ExternalEntityRefHandler = undefined
+    try:
+        with path.open("rb") as handle:
+            parser.ParseFile(handle)
+    except (expat.ExpatError, LookupError) as exc:  # or an unknown encoding
+        raise LogFormatError(f"{path}: XML parse failure: {exc}") from exc
+    del parser  # its cycle with undefined would keep rows alive past return
+    return _assemble(rows)
 
 
 # The dialect's fixed text: two-space indentation, no newline after </log>.

@@ -7,7 +7,9 @@ oracles run explicit double loops over ordered pairs.  The all-pairs
 straightforward quadratic versions the library's sweeps replaced, and
 ``coalesced_by_shares`` is the share-summing adjuster that the virtual
 clock replaced.  ``read_xes_tree`` is the whole-tree XES reader that the
-streaming ``read_xes`` replaced.  ``summarize_by_pair_objects`` is the
+streaming reader replaced.  ``read_xes_iterparse`` is that streaming
+reader, which built an ``Element`` per XML element and which the ``pyexpat``
+callbacks of ``read_xes`` replaced.  ``summarize_by_pair_objects`` is the
 ``summarize`` that built one ``PairOverlap`` per overlapped pair (with
 ``overlapped_pairs_by_sweep``), and ``aux_text_by_rows`` is the ``aux``
 table written one ``writerow`` per share, the loop that the pre-rendered
@@ -34,7 +36,6 @@ from sweeplog.cli import AUX_COLUMNS
 from sweeplog.logio import (
     LogFormatError,
     _assemble,
-    _local_name,
     _Row,
     format_timestamp,
     parse_timestamp,
@@ -384,6 +385,89 @@ def xes_text(traces, log_attrs=""):
         '<?xml version="1.0" encoding="UTF-8"?>'
         f"<log {log_attrs}>" + "".join(body) + "</log>"
     )
+
+
+def _local_name(tag: str) -> str:
+    return tag.rsplit("}", 1)[-1]
+
+
+def read_xes_iterparse(path) -> EventLog:
+    """Read the XES dialect one trace at a time with ``ET.iterparse``.
+
+    The same rules and messages as ``read_xes``, and faults in document
+    order, from an ``Element`` per XML element.
+    """
+    path = Path(path)
+    try:
+        with path.open("rb") as handle:
+            return _assemble(_xes_rows_iterparse(path, handle))
+    except ET.ParseError as exc:
+        raise LogFormatError(f"{path}: XML parse failure: {exc}") from exc
+
+
+def _xes_rows_iterparse(path, handle):
+    def error(message: str, activity: str | None = None) -> LogFormatError:
+        where = f"trace {trace_id!r}"
+        if activity is not None:
+            where += f", activity {activity!r}"
+        return LogFormatError(f"{path}: {where}: {message}")
+
+    events = ET.iterparse(handle, ("start", "end"))
+    _, root = next(events)
+    depth = 0  # below the root
+    trace_count = 0
+    named_by_id: dict[str, bool] = {}
+    for event, element in events:
+        depth += 1 if event == "start" else -1
+        if depth == 0:  # the root lets go of each child as soon as it ends
+            root.clear()
+        if depth or _local_name(element.tag) != "trace":
+            continue
+        trace_count += 1
+        trace_id = next((child.get("value") for child in element
+                         if _local_name(child.tag) != "event"
+                         and child.get("key") == "concept:name"), None)
+        named = bool(trace_id)
+        trace_id = trace_id if named else f"trace-{trace_count}"
+        if named_by_id.setdefault(trace_id, named) != named:
+            raise LogFormatError(
+                f"{path}: trace name {trace_id!r} is both given and generated"
+            )
+
+        open_starts: dict[tuple[str, str], list[int]] = {}
+        for child in element:
+            if _local_name(child.tag) != "event":
+                continue
+            attrs = {attr.get("key"): attr.get("value", "") for attr in child
+                     if attr.get("key") is not None}
+            activity = attrs.get("concept:name")
+            resource = attrs.get("org:resource")
+            transition = attrs.get("lifecycle:transition", "").lower()
+            stamp_text = attrs.get("time:timestamp")
+            if not activity or not resource or stamp_text is None:
+                raise error("event missing concept:name, org:resource, "
+                            "or time:timestamp")
+            try:
+                stamp = parse_timestamp(stamp_text)
+            except LogFormatError as exc:
+                raise error(str(exc), activity) from None
+            key = (activity, resource)
+            if transition == "start":
+                open_starts.setdefault(key, []).append(stamp)
+            elif transition == "complete":
+                pending = open_starts.get(key)
+                if not pending:
+                    raise error("'complete' without a prior start", activity)
+                start = pending.pop(0)
+                if stamp < start:
+                    raise error("'complete' precedes its start", activity)
+                yield (trace_id, start, stamp, activity, resource)
+            else:
+                raise error("unsupported lifecycle:transition "
+                            f"{attrs.get('lifecycle:transition')!r}", activity)
+        for (activity, _), pending in open_starts.items():
+            if pending:
+                raise error("'start' without a matching complete", activity)
 
 
 def read_xes_tree(path) -> EventLog:

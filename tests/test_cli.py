@@ -283,8 +283,30 @@ def test_checked_in_fixture_is_the_four_task_log(four_csv):
     assert read_csv(fixture) == read_csv(four_csv)
 
 
+def test_checked_in_prom_export_is_the_four_task_log():
+    # A ProM-style export: default namespace, globals, a classifier,
+    # comments, CRLF, START/Complete, +02:00 stamps, a nested concept:name
+    # inside an event and a trace named after its events.  CI compares the
+    # installed script's output on it with the CSV fixture's.
+    data = Path(__file__).parent / "data"
+    assert b"\r\n" in (data / "four_tasks.prom.xes").read_bytes()
+    assert read_xes(data / "four_tasks.prom.xes") == read_csv(
+        data / "four_tasks.csv")
+
+
+def test_an_unknown_xml_encoding_is_a_parse_failure(tmp_path, capsys):
+    path = tmp_path / "bogus.xes"
+    path.write_text("<?xml version='1.0' encoding='bogus'?><log/>",
+                    encoding="utf-8")
+    assert run(["metrics", "--in", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        f"sweeplog: error: {path}: XML parse failure: unknown encoding: "
+        "bogus\n")
+
+
 @pytest.mark.parametrize("command, source, golden", [
     ("adjust", "four_tasks.csv", "four_tasks.adjusted.csv"),
+    ("adjust", "four_tasks.prom.xes", "four_tasks.adjusted.csv"),
     ("adjust", "thirds.csv", "thirds.adjusted.csv"),
     ("aux", "thirds.csv", "thirds.aux.csv"),
     # Names with a comma, a quote, LF, CR and CRLF, as Python 3.13 writes

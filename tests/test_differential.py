@@ -9,8 +9,9 @@ table's rows are those shares, and that the coalesced and the injected
 logs, built without a second validation, equal what validating them
 again would give.  Crowded logs, where up to 240 items are live at once,
 check the integer clock where its scale D grows to hundreds of bits.
-The streaming XES reader is checked against the whole-tree reader it
-replaced, on these logs written as XES and on hand-written documents.
+The callback XES reader is checked against the whole-tree and the
+``iterparse`` readers it replaced, on these logs written as XES and on
+hand-written documents, well-formed or faulty.
 ``summarize`` is checked against the ``PairOverlap``-based one it
 replaced, and the ``aux`` file against one ``writerow`` per share, byte
 for byte, on logs whose names need CSV quoting.  The id sweep's points,
@@ -76,6 +77,7 @@ from helpers import (
     mtwii_by_double_loop,
     overlapped_pairs_by_combinations,
     random_segment_items,
+    read_xes_iterparse,
     read_xes_tree,
     shares_by_resource,
     summarize_by_pair_objects,
@@ -454,7 +456,8 @@ def test_streaming_xes_reader_matches_tree_reader(logs, tmp_path):
     path = tmp_path / "log.xes"
     for log in logs:
         write_xes(log, path)
-        assert read_xes(path) == read_xes_tree(path)
+        log = read_xes(path)
+        assert log == read_xes_tree(path) == read_xes_iterparse(path)
 
 
 def events(activity="T1", start=0, end=10):
@@ -494,6 +497,10 @@ XES_DOCUMENTS = {
         + "".join(events()).replace(
             "<event>", '<event id="e"><string key="cost:total" value="12"/>')
         + '<string key="concept:name" value="c1"/></trace>'),
+    "first name wins": document(
+        trace("c1", events() + ['<string key="concept:name" value="c9"/>']),
+        trace(None, ['<string key="concept:name"/>'] + events("T2")
+              + ['<string key="concept:name" value="c8"/>'])),
     "log-level name first": document(
         '<string key="concept:name" value="the log"/>'
         '<global scope="trace"><string key="concept:name" value="g"/>'
@@ -508,11 +515,17 @@ def test_streaming_xes_reader_matches_tree_reader_by_hand(name, tmp_path):
     path.write_text(XES_DOCUMENTS[name], encoding="utf-8")
     log = read_xes(path)
     assert len(log) > 0
-    assert log == read_xes_tree(path)
+    assert log == read_xes_tree(path) == read_xes_iterparse(path)
 
 
-# One document per error that TestReadXes in test_logio.py checks, plus
-# the timestamp errors.
+EXTERNAL_ENTITY = '<!DOCTYPE log [<!ENTITY e SYSTEM "e.xml">]>'
+BINARY_ENTITY = ('<!DOCTYPE log [<!NOTATION n SYSTEM "n">'
+                 '<!ENTITY e SYSTEM "e.bin" NDATA n>]>')
+
+# One document per error that TestReadXes in test_logio.py checks, the
+# timestamp errors, and XML faults, each after a well-formed trace.  Plain
+# expat skips the external entity and the undeclared one under an external
+# DTD; ElementTree reports both as undefined.
 XES_FAULTS = {
     "complete without start": xes_text([("c9", events()[1:])]),
     "start without complete": xes_text([("c9", events()[:1])]),
@@ -531,6 +544,26 @@ XES_FAULTS = {
         xes_event("T1", "R1", "start", "noon")])]),
     "no timestamp": document(trace("c1", [
         events()[0].split("<date")[0] + "</event>"])),
+    "mismatched tag": document(trace("c1", events()), "<trace></log>"),
+    "junk after root": document(trace("c1", events())) + "<log/>",
+    "empty file": "",
+    "unclosed token": "<log>" + trace("c1", events()) + '<trace key="',
+    "nul byte": document(trace("c1", events()), "\x00"),
+    "undefined entity": document(trace("c1", events()), "&e;"),
+    "declared external entity": EXTERNAL_ENTITY + document(
+        trace("c1", events()), "\n  &e;"),
+    "declared external entity, namespaced": EXTERNAL_ENTITY + document(
+        trace("c1", events()), "&e;",
+        log_attrs='xmlns="http://www.xes-standard.org/" xmlns:x="urn:x"'),
+    "undeclared entity under an external DTD":
+        '<!DOCTYPE log SYSTEM "log.dtd">'
+        + document(trace("c1", events()), trace("c2", ["&e;"])),
+    "binary entity in an attribute": BINARY_ENTITY + document(
+        trace("c1", events()), trace("&e;", events())),
+    "unbound prefix": document(trace("c1", events()), "<x:trace/>"),
+    "UTF-16 declared on UTF-8 bytes":
+        '<?xml version="1.0" encoding="UTF-16"?>'
+        + document(trace("c1", events())),
 }
 
 
@@ -539,11 +572,11 @@ def test_xes_readers_raise_the_same_error(name, tmp_path):
     path = tmp_path / "bad.xes"
     path.write_text(XES_FAULTS[name], encoding="utf-8")
     messages = []
-    for reader in (read_xes, read_xes_tree):
+    for reader in (read_xes, read_xes_tree, read_xes_iterparse):
         with pytest.raises(LogFormatError) as caught:
             reader(path)
         messages.append(str(caught.value))
-    assert messages[0] == messages[1]
+    assert messages[0] == messages[1] == messages[2]
 
 
 # Name parts that CSV must quote (comma, quote, CR, LF, CRLF) or must

@@ -1,14 +1,18 @@
 import csv
+import gc
 import io
 import random
+import subprocess
 import sys
 import tracemalloc
 import xml.etree.ElementTree as ET
 from datetime import datetime, timedelta, timezone
 from itertools import permutations, product
+from pathlib import Path
 
 import pytest
 
+import sweeplog
 from sweeplog.logio import (
     CSV_COLUMNS,
     LogFormatError,
@@ -615,6 +619,21 @@ class TestReadXes:
                            match="XML parse failure: mismatched tag"):
             read_xes(path)
 
+    def test_no_read_waits_for_the_cycle_collector(self, tmp_path):
+        # A reference cycle through the parser and its handlers would keep
+        # every row read alive after the return, until the next collection.
+        path = tmp_path / "one.xes"
+        path.write_text(xes_text([("c1", [
+            xes_event("T1", "R1", "start", stamp(0)),
+            xes_event("T1", "R1", "complete", stamp(5))])]), encoding="utf-8")
+        gc.collect()
+        gc.disable()
+        try:
+            assert len(read_xes(path)) == 1
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
     def test_memory_is_bounded_by_one_trace(self, tmp_path):
         # 2,000 items in 400 traces, about 1 MB of XES: the whole tree
         # takes about 11 MB, one trace at a time about 1 MB with the rows.
@@ -639,6 +658,17 @@ class TestReadXes:
         assert len(read_xes(path)) == 2_000
         assert peak_bytes(lambda: read_xes(path)) < (
             peak_bytes(lambda: ET.parse(path)) / 4)
+
+
+def test_importing_sweeplog_loads_no_elementtree():
+    # A fresh interpreter, so that no other test's import counts.
+    code = ("import sweeplog, sys; "
+            "print('sweeplog.logio' in sys.modules, "
+            "'xml.etree.ElementTree' in sys.modules)")
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        check=True, cwd=Path(sweeplog.__file__).parents[1])
+    assert done.stdout.split() == ["True", "False"]
 
 
 class TestXesRoundTrip:
