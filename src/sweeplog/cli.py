@@ -18,7 +18,7 @@ from .inject import inject
 from .logio import (
     CSV_COLUMNS,
     FORMATS,
-    _csv_record,
+    _csv_join,
     format_timestamp,
     read_log,
     report_to_json,
@@ -44,16 +44,17 @@ def _cmd_aux(args: argparse.Namespace) -> int:
     log = read_log(args.input, args.format)
     if args.debug_table:
         print(format_adjustment_table(log), file=sys.stderr)
-    heads = {item.id: _csv_record((item.id, item.trace_id, item.activity))
+    join = _csv_join(log.items)
+    heads = {item.id: join((str(item.id), item.trace_id, item.activity))
              for item in log.items}
     aux_ids = count(1)
     with open(args.out, "w", newline="", encoding="utf-8") as handle:
-        handle.write(_csv_record(AUX_COLUMNS) + "\n")
+        handle.write(",".join(AUX_COLUMNS) + "\n")
         # LogAdjustment.aux_items rows.  Each item's "parent_id,case_id,
         # activity" and each interval's "resource,start,end,portion" are
         # rendered once; of the latter only the resource can need quoting.
         for resource, _, cuts in _sweeps(log):
-            resource_text = _csv_record((resource,))
+            resource_text = join((resource,))
             for start, end, live in cuts:
                 tail = (f"{resource_text},{format_timestamp(start)},"
                         f"{format_timestamp(end)},"

@@ -29,7 +29,7 @@ from .model import (
     WorkItem,
     WorkItemId,
     _ordered,
-    round_half_up_ms,
+    _round_half_up,
     segments_per_resource,
 )
 
@@ -86,14 +86,12 @@ def plan_shifts(log: EventLog, percentage: float) -> ShiftPlan:
         raise ValueError(
             f"shift percentage must lie in [0, 1], got {percentage}"
         )
-    share = Fraction(str(percentage))  # its decimal, not the float's binary
+    num, den = Fraction(str(percentage)).as_integer_ratio()  # as typed
     planned: list[PlannedShift] = []
     for segment in segments_per_resource(log):
         for first, second in find_adjacent_pairs(segment):
-            delta = round_half_up_ms(
-                share * max(first.duration, second.duration)
-            )
-            delta = min(delta, first.duration)
+            longest = max(first.duration, second.duration)
+            delta = min(_round_half_up(num * longest, den), first.duration)
             planned.append(PlannedShift(first.id, second.id, delta))
     return ShiftPlan(percentage=percentage, pairs=tuple(planned))
 
@@ -108,16 +106,9 @@ def inject(log: EventLog, percentage: float) -> EventLog:
     plan = plan_shifts(log, percentage)
     deltas = {shift.second_id: shift.delta for shift in plan.pairs}
     shifted = [
-        WorkItem(
-            id=item.id,
-            activity=item.activity,
-            resource=item.resource,
-            trace_id=item.trace_id,
-            start=item.start - deltas[item.id],
-            end=item.end - deltas[item.id],
-        )
-        if item.id in deltas
-        else item
+        WorkItem(item.id, item.activity, item.resource, item.trace_id,
+                 item.start - deltas[item.id], item.end - deltas[item.id])
+        if item.id in deltas else item
         for item in log.items
     ]
     # A shift keeps each duration, id, resource and activity, so the

@@ -31,7 +31,7 @@ from itertools import groupby
 from operator import attrgetter
 from pathlib import Path
 from types import SimpleNamespace
-from typing import Iterable, Union
+from typing import Callable, Iterable, Sequence, Union
 from xml.parsers import expat
 
 from .metrics import MetricsReport
@@ -99,13 +99,7 @@ _PLAIN_ISO = re.compile(
     re.ASCII)
 
 
-def parse_timestamp(text: str) -> int:
-    """Parse an ISO-8601 timestamp to epoch milliseconds.
-
-    Accepts optional fractional seconds and UTC offset; a trailing ``Z``
-    and missing offsets (read as UTC) are tolerated.  Every Python reads
-    exactly the forms Python 3.11's ``fromisoformat`` reads correctly.
-    """
+def _parse_timestamp(text: str) -> int:
     cleaned = text.strip()
     if cleaned.endswith(("Z", "z")):
         cleaned = cleaned[:-1] + "+00:00"
@@ -133,6 +127,36 @@ def parse_timestamp(text: str) -> int:
 _TWO_DIGITS = [f"{n:02}" for n in range(60)]  # formats once, not 3,600 times
 _MM_SS = tuple(f"{m}:{s}." for m in _TWO_DIGITS for s in _TWO_DIGITS)
 _MS_UTC = tuple(f"{ms:03}+00:00" for ms in range(1_000))
+
+# parse_timestamp's tables: each piece of a canonical UTC stamp to its ms.
+_HOUR_MS = {f"{hh}:": int(hh) * 3_600_000 for hh in _TWO_DIGITS[:24]}
+_MM_SS_MS = {text: second * 1_000 for second, text in enumerate(_MM_SS)}
+_MILLI_MS = {text[:3]: milli for milli, text in enumerate(_MS_UTC)}
+
+
+@lru_cache(maxsize=4096)  # by day: a key per hour thrashed on random stamps
+def _day_ms(prefix: str) -> int | None:
+    try:
+        return _parse_timestamp(prefix + "00:00:00.000+00:00")
+    except LogFormatError:
+        return None
+
+
+def parse_timestamp(text: str) -> int:
+    """Parse an ISO-8601 timestamp to epoch milliseconds.
+
+    Accepts optional fractional seconds and UTC offset; a trailing ``Z``
+    and missing offsets (read as UTC) are tolerated.  Every Python reads
+    exactly the forms Python 3.11's ``fromisoformat`` reads correctly.
+    UTC ``YYYY-MM-DDTHH:MM:SS.mmm`` is looked up (a cached day, three tables);
+    other text goes to the full parser, whose language and errors are kept.
+    """
+    day = _day_ms(text[:11]) if text[23:] in ("Z", "z", "+00:00") else None
+    try:  # a None day or a missed piece leaves it to the full parser
+        return (day + _HOUR_MS[text[11:14]] + _MM_SS_MS[text[14:20]]
+                + _MILLI_MS[text[20:23]])
+    except (TypeError, KeyError):
+        return _parse_timestamp(text)
 
 
 @lru_cache(maxsize=1024)  # bounded: random stamps would fill a plain cache
@@ -214,6 +238,7 @@ def read_csv(path: PathLike) -> EventLog:
 # Python 3.10-3.12 quote a field holding CR or LF only if the terminator
 # holds it, so "\r\n" gives 3.13's quoting on every version.
 _CSV_RECORD = csv.writer(SimpleNamespace(write=str), lineterminator="\r\n")
+_QUOTED = re.compile(r'[,"\r\n]')  # what makes csv.writer quote a field
 
 
 def _csv_record(fields: Iterable[object]) -> str:
@@ -221,20 +246,23 @@ def _csv_record(fields: Iterable[object]) -> str:
     return _CSV_RECORD.writerow(fields)[:-2]
 
 
+def _csv_join(items: Sequence[WorkItem]) -> Callable[[Iterable[str]], str]:
+    """``_csv_record``, or the same text by ``",".join`` when no trace id,
+    activity or resource needs quoting (read ids and stamps never do)."""
+    quoted = any(_QUOTED.search("".join(set(map(attrgetter(field), items))))
+                 for field in ("trace_id", "activity", "resource"))
+    return _csv_record if quoted else ",".join
+
+
 def write_csv(log: EventLog, path: PathLike) -> None:
     """Write a log as CSV, one row per work item, in log order."""
-    path = Path(path)
+    join = _csv_join(log.items)
     rows = ((item.trace_id, item.activity, item.resource,
              format_timestamp(item.start), format_timestamp(item.end))
             for item in log.items)
-    with path.open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS)
-        if any("\r" in item.trace_id or "\r" in item.activity
-               or "\r" in item.resource for item in log.items):
-            handle.writelines(f"{_csv_record(row)}\n" for row in rows)
-        else:
-            writer.writerows(rows)
+    with Path(path).open("w", newline="", encoding="utf-8") as handle:
+        handle.write(",".join(CSV_COLUMNS) + "\n")
+        handle.writelines(f"{join(row)}\n" for row in rows)
 
 
 def read_xes(path: PathLike) -> EventLog:

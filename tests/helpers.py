@@ -18,6 +18,10 @@ rows replaced.  ``time_points_by_objects``, ``intervals_by_objects``,
 ``adjustment_table_by_objects`` are the sweep that built one ``TimePoint``
 per boundary and one ``ActiveInterval`` per interval, which the id sweep
 of tuples replaced; ``shares_by_resource`` and ``aux_text_by_rows`` use it.
+``write_csv_by_writer`` is the CSV writer that sent every row through
+``csv.writer``, which rows joined bare replaced when no name needs
+quoting, and ``plan_shifts_by_fractions`` is the planner that multiplied a
+``Fraction`` per pair, which integer deltas replaced.
 """
 
 from __future__ import annotations
@@ -32,10 +36,12 @@ from math import comb, fsum
 from pathlib import Path
 
 from sweeplog.cli import AUX_COLUMNS
-
+from sweeplog.inject import PlannedShift, ShiftPlan, find_adjacent_pairs
 from sweeplog.logio import (
+    CSV_COLUMNS,
     LogFormatError,
     _assemble,
+    _csv_record,
     _Row,
     format_timestamp,
     parse_timestamp,
@@ -47,6 +53,7 @@ from sweeplog.model import (
     WorkItem,
     _id_key,
     _round_half_up,
+    round_half_up_ms,
     segments_per_resource,
     validate_log,
 )
@@ -719,3 +726,33 @@ def adjustment_table_by_objects(log: EventLog) -> str:
         lines.append(f"  intervals = {{{interval_text}}}")
         lines.append(f"  shares    = {{{share_text}}}")
     return "\n".join(lines)
+
+
+def write_csv_by_writer(log: EventLog, path) -> None:
+    """``write_csv`` through ``csv.writer``'s ``writerows``, or through
+    ``_csv_record`` when some name holds CR (Python 3.10-3.12 quote it
+    only under a terminator that holds it)."""
+    rows = ((item.trace_id, item.activity, item.resource,
+             format_timestamp(item.start), format_timestamp(item.end))
+            for item in log.items)
+    with Path(path).open("w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(CSV_COLUMNS)
+        if any("\r" in item.trace_id or "\r" in item.activity
+               or "\r" in item.resource for item in log.items):
+            handle.writelines(f"{_csv_record(row)}\n" for row in rows)
+        else:
+            writer.writerows(rows)
+
+
+def plan_shifts_by_fractions(log: EventLog, percentage: float) -> ShiftPlan:
+    """``plan_shifts`` with one ``Fraction`` product per pair."""
+    share = Fraction(str(percentage))
+    planned = []
+    for segment in segments_per_resource(log):
+        for first, second in find_adjacent_pairs(segment):
+            delta = round_half_up_ms(
+                share * max(first.duration, second.duration))
+            planned.append(PlannedShift(first.id, second.id,
+                                        min(delta, first.duration)))
+    return ShiftPlan(percentage=percentage, pairs=tuple(planned))

@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import sys
 from pathlib import Path
@@ -304,9 +305,24 @@ def test_an_unknown_xml_encoding_is_a_parse_failure(tmp_path, capsys):
         "bogus\n")
 
 
+def test_checked_in_stamp_forms_are_the_four_task_log():
+    # Every stamp in another accepted form: Z, z, +02:00, no offset, a
+    # space separator, a "," fraction, no fraction and six fraction digits.
+    # The first two take parse_timestamp's lookup, the other six its full
+    # parser.  CI reads the file through the installed script.
+    data = Path(__file__).parent / "data"
+    text = (data / "four_tasks.stamps.csv").read_text(encoding="utf-8")
+    rows = list(csv.reader(io.StringIO(text, newline="")))
+    stamps = [stamp for row in rows[1:] for stamp in row[3:]]
+    assert len({stamp[10] + stamp[19:] for stamp in stamps}) == 8
+    assert read_csv(data / "four_tasks.stamps.csv") == read_csv(
+        data / "four_tasks.csv")
+
+
 @pytest.mark.parametrize("command, source, golden", [
     ("adjust", "four_tasks.csv", "four_tasks.adjusted.csv"),
     ("adjust", "four_tasks.prom.xes", "four_tasks.adjusted.csv"),
+    ("adjust", "four_tasks.stamps.csv", "four_tasks.adjusted.csv"),
     ("adjust", "thirds.csv", "thirds.adjusted.csv"),
     ("aux", "thirds.csv", "thirds.aux.csv"),
     # Names with a comma, a quote, LF, CR and CRLF, as Python 3.13 writes

@@ -17,19 +17,22 @@ replaced, and the ``aux`` file against one ``writerow`` per share, byte
 for byte, on logs whose names need CSV quoting.  The id sweep's points,
 intervals, shares, ``aux`` file and debug table are checked against the
 object sweep it replaced, and the readers' one sort against the order
-``validate_log`` gives.
+``validate_log`` gives.  ``write_csv`` is checked against the
+``csv.writer`` it replaced, byte for byte, and ``plan_shifts`` against the
+planner that built a ``Fraction`` per pair.
 """
 
 import csv
 import io
 import random
+from dataclasses import replace
 from math import lcm
 
 import pytest
 
 from sweeplog import metrics, model, sweep
 from sweeplog.cli import run
-from sweeplog.inject import find_adjacent_pairs, inject
+from sweeplog.inject import find_adjacent_pairs, inject, plan_shifts
 from sweeplog.logio import (
     LogFormatError,
     format_timestamp,
@@ -76,6 +79,7 @@ from helpers import (
     mtri_overlapped_by_double_loop,
     mtwii_by_double_loop,
     overlapped_pairs_by_combinations,
+    plan_shifts_by_fractions,
     random_segment_items,
     read_xes_iterparse,
     read_xes_tree,
@@ -84,6 +88,7 @@ from helpers import (
     swept_by_objects,
     time_points_by_objects,
     wi,
+    write_csv_by_writer,
     xes_event,
     xes_text,
 )
@@ -636,3 +641,60 @@ def test_aux_file_is_the_per_share_rows_byte_for_byte(quoted_logs, tmp_path):
         assert out.read_bytes() == expected.encode("utf-8")
         rows += len(list(csv.reader(io.StringIO(expected, newline=""))))
     assert rows > 1_000
+
+
+def renamed(log, rename):
+    return make_log([
+        WorkItem(item.id, rename(item.activity), rename(item.resource),
+                 rename(item.trace_id), item.start, item.end)
+        for item in log.items
+    ])
+
+
+def with_one_quoted_name(log, field, char):
+    """The log with one character to quote in one name of its last item."""
+    *rest, last = log.items
+    return make_log([*rest, replace(last, **{
+        field: getattr(last, field) + char})])
+
+
+def one_quoted_name_logs(logs):
+    return [with_one_quoted_name(log, field, char)
+            for log, (field, char) in zip(logs, (
+                (field, char) for field in ("trace_id", "activity", "resource")
+                for char in ',"\r\n'))]
+
+
+def test_write_csv_is_the_csv_writer_byte_for_byte(logs, quoted_logs,
+                                                   tmp_path):
+    # Names joined bare must be what csv.writer writes: with no character
+    # to quote, spaces at either end included, with many, and with one
+    # character to quote in one name of the log.
+    fast, reference = tmp_path / "fast.csv", tmp_path / "reference.csv"
+    spaced = [renamed(log, lambda name: f" {name} ") for log in logs[:100]]
+    quoted_and_spaced = [renamed(log, lambda name: f"{name} ")
+                         for log in quoted_logs]
+    for log in (logs + spaced + quoted_logs + quoted_and_spaced
+                + one_quoted_name_logs(logs)):
+        write_csv(log, fast)
+        write_csv_by_writer(log, reference)
+        assert fast.read_bytes() == reference.read_bytes()
+
+
+def test_aux_quotes_the_one_name_that_needs_it(logs, tmp_path):
+    source, out = tmp_path / "in.csv", tmp_path / "aux.csv"
+    for log in one_quoted_name_logs(logs):
+        write_csv(log, source)
+        assert run(["aux", "--in", str(source), "--out", str(out)]) == 0
+        assert out.read_bytes() == aux_text_by_rows(
+            read_csv(source)).encode("utf-8")
+
+
+@pytest.mark.parametrize("percentage", [0, 0.1, 0.3, 0.5, 0.7, 1.0])
+def test_integer_deltas_equal_the_fraction_planner(logs, percentage):
+    planned = 0
+    for log in logs:
+        plan = plan_shifts(log, percentage)
+        assert plan == plan_shifts_by_fractions(log, percentage)
+        planned += len(plan.pairs)
+    assert planned > 100

@@ -1,4 +1,6 @@
+import importlib
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -7,6 +9,9 @@ from sweeplog.metrics import mtwii, overlap, summarize
 from sweeplog.model import segments_per_resource
 
 from helpers import make_log, wi
+
+# The package exports the function inject under the module's name.
+inject_module = importlib.import_module("sweeplog.inject")
 
 
 def segment_of(*items):
@@ -97,6 +102,28 @@ class TestPlanShifts:
         log = make_log([wi("a", 0, 5), wi("b", 5, 10)])
         (shift,) = plan_shifts(log, percentage).pairs
         assert shift.delta == delta
+
+    def test_builds_at_most_one_fraction(self, monkeypatch):
+        built = []
+
+        class Counted(Fraction):
+            # A product is a Counted too, so a Fraction per pair counts.
+            def __new__(cls, *args, **kwargs):
+                built.append(args)
+                return super().__new__(cls, *args, **kwargs)
+
+            def __mul__(self, other):
+                return Counted(Fraction.__mul__(self, other))
+
+            __rmul__ = __mul__
+
+        monkeypatch.setattr(inject_module, "Fraction", Counted)
+        log = make_log([wi(f"x{n}", 10 * n, 10 * n + 10) for n in range(40)])
+        for percentage in (0.0, 0.35, 1.0):
+            built.clear()
+            plan = plan_shifts(log, percentage)
+            assert len(plan.pairs) == 20
+            assert len(built) <= 1
 
     def test_percentage_out_of_range(self):
         log = make_log([wi("a", 0, 10)])

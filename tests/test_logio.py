@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import sweeplog
+from sweeplog import logio
 from sweeplog.logio import (
     CSV_COLUMNS,
     LogFormatError,
@@ -23,8 +24,10 @@ from sweeplog.logio import (
     read_csv,
     read_log,
     read_xes,
+    _day_ms,
     _hour_prefix,
     _parse_iso_8601,
+    _parse_timestamp,
     report_to_dict,
     report_to_json,
     write_csv,
@@ -199,6 +202,110 @@ class TestTimestamps:
         for ms in (FIRST_MS - 1, LAST_MS + 1):
             with pytest.raises(OverflowError):
                 format_timestamp(ms)
+
+
+def outcome(parse, text):
+    """What a parser gives: epoch ms, or the text of its LogFormatError."""
+    try:
+        return parse(text)
+    except LogFormatError as exc:
+        return f"LogFormatError: {exc}"
+
+
+def assert_parsed_as_by_the_fallback(texts):
+    for text in texts:
+        assert outcome(parse_timestamp, text) == outcome(
+            _parse_timestamp, text), text
+
+
+class TestTimestampLookup:
+    """parse_timestamp's table lookup against _parse_timestamp, the full
+    parser it falls back to, which reads the language it always read."""
+
+    OFFSETS = ("Z", "z", "+00:00", "-00:00", "+05:30", "-11:00", "")
+
+    def test_seeded_stamps_of_every_year_and_offset(self):
+        rng = random.Random(8601)
+        texts = []
+        for _ in range(4_000):
+            canonical = format_timestamp(rng.randint(FIRST_MS, LAST_MS))
+            texts += [canonical[:23] + offset for offset in self.OFFSETS]
+        assert_parsed_as_by_the_fallback(texts)
+
+    def test_calendar_edges(self):
+        days = ["0001-01-01", "0001-12-31", "9999-01-01", "9999-12-31",
+                "1970-01-01", "1969-12-31", "2000-02-29", "2024-02-29",
+                "1900-02-29", "2023-02-29", "2100-02-29", "0004-02-29"]
+        times = ["00:00:00.000", "23:59:59.999", "12:00:00.500"]
+        assert_parsed_as_by_the_fallback(
+            f"{day}T{time}{offset}" for day, time, offset
+            in product(days, times, self.OFFSETS))
+        assert parse_timestamp("9999-12-31T23:59:59.999Z") == LAST_MS
+        assert parse_timestamp("0001-01-01T00:00:00.000z") == FIRST_MS
+        with pytest.raises(LogFormatError):
+            parse_timestamp("2023-02-29T12:00:00.000Z")
+
+    def test_other_accepted_forms(self):
+        prefixes = ["2021-03-04T", "2021-03-04t", "2021-03-04 ",
+                    "2021-W09-4T", "2021W094T", "20210304T", "2021-W09T"]
+        times = ["08:15:30.123", "08:15:30,123", "08:15:30,1234",
+                 "08:15:30", "08:15", "081530.123"]
+        texts = [prefix + time + offset for prefix, time, offset
+                 in product(prefixes, times, self.OFFSETS)]
+        assert_parsed_as_by_the_fallback(texts)
+        read = [outcome(parse_timestamp, text) for text in texts]
+        assert sum(isinstance(value, int) for value in read) > len(texts) / 2
+
+    @pytest.mark.parametrize("text, valid", [
+        ("2021-03-04T24:00:00.000Z", False),  # hour 24
+        ("2021-03-04T23:60:00.000Z", False),  # minute 60
+        ("2021-03-04T23:59:60.000Z", False),  # second 60
+        ("2021-02-30T08:15:30.123Z", False),  # 30 February
+        ("2021-03-04T8:15:30.123Z", False),  # a one-digit hour
+        ("2021-03-04508:15:30.123Z", False),  # a digit for the T
+        ("2021-03-04T08:15:30.1234Z", True),  # a fourth fraction digit
+        ("2021-03-04T08:15:30.123+00:00 ", True),  # a trailing space
+        (" 2021-03-04T08:15:30.123Z", True),  # a leading space
+        ("\t2021-03-04T08:15:30.123z\n", True),
+        ("2021-03-04T08:15:30.123ZZ", False),
+        ("2021-03-04T08:15:30.123+00:000", False),
+        ("2021-03-04T08:15:30.12aZ", False),
+        ("2021-03-04T08:15:30:123Z", False),
+        ("2021-03-04T08:15:30.123", True),
+        ("2021-03-04T08:15:30.123Zulu", False),
+    ])
+    def test_near_misses(self, text, valid):
+        assert isinstance(outcome(parse_timestamp, text), int) == valid
+        assert_parsed_as_by_the_fallback([text])
+
+    def test_random_order_over_more_days_than_the_cache(self):
+        # 15 years hold more days than the cache keeps, so days are evicted
+        # and read again while the stamps come in random order.
+        start = parse_timestamp("2010-01-01T00:00:00.000Z")
+        span = 15 * 365 * 86_400_000
+        assert span // 86_400_000 > _day_ms.cache_info().maxsize
+        rng = random.Random(15)
+        texts = [format_timestamp(start + rng.randrange(span))
+                 for _ in range(20_000)]
+        assert [parse_timestamp(text) for text in texts] == [
+            _parse_timestamp(text) for text in texts]
+
+    def test_reading_a_file_parses_each_day_once(self, monkeypatch):
+        # A table that missed would send each stamp to the full parser.
+        calls = []
+
+        def counted(text):
+            calls.append(text)
+            return _parse_timestamp(text)
+
+        monkeypatch.setattr(logio, "_parse_timestamp", counted)
+        _day_ms.cache_clear()
+        fixture = Path(__file__).parent / "data" / "four_tasks.csv"
+        log = read_csv(fixture)
+        days = {format_timestamp(stamp)[:10]
+                for item in log.items for stamp in (item.start, item.end)}
+        assert len(log) == 4
+        assert len(calls) <= len(days) == 1
 
 
 class TestReadCsv:
