@@ -1,10 +1,11 @@
 """Batch command-line front end.
 
-Four subcommands: ``adjust`` writes the coalesced log, ``aux`` writes the
-fair-share table, ``metrics`` writes or prints an index report, and
-``inject`` writes a log with synthetic overlap.  Diagnostics go to stderr;
-data goes to files or stdout.  Exit codes: 0 success, 1 input or I/O
-error, 2 usage error.
+``run`` reads the input log once, prints the sweep's table to stderr for
+``--debug-table``, and hands the log to one of four subcommands, which
+compute and write: ``adjust`` the coalesced log, ``aux`` the fair-share
+table, ``metrics`` an index report (to a file or stdout), and ``inject``
+a log with synthetic overlap.  Diagnostics go to stderr.  Exit codes:
+0 success, 1 input or I/O error, 2 usage error.
 """
 
 from __future__ import annotations
@@ -26,24 +27,17 @@ from .logio import (
     write_report,
 )
 from .metrics import summarize
-from .model import _round_half_up
+from .model import EventLog, _round_half_up
 from .sweep import _sweeps, adjust_log, format_adjustment_table
 
 AUX_COLUMNS = ("aux_id", "parent_id", *CSV_COLUMNS, "duration_ms")
 
 
-def _cmd_adjust(args: argparse.Namespace) -> int:
-    log = read_log(args.input, args.format)
-    if args.debug_table:
-        print(format_adjustment_table(log), file=sys.stderr)
+def _cmd_adjust(log: EventLog, args: argparse.Namespace) -> None:
     write_log(adjust_log(log).coalesced, args.format, args.out)
-    return 0
 
 
-def _cmd_aux(args: argparse.Namespace) -> int:
-    log = read_log(args.input, args.format)
-    if args.debug_table:
-        print(format_adjustment_table(log), file=sys.stderr)
+def _cmd_aux(log: EventLog, args: argparse.Namespace) -> None:
     join = _csv_join(log.items)
     heads = {item.id: join((str(item.id), item.trace_id, item.activity))
              for item in log.items}
@@ -61,24 +55,18 @@ def _cmd_aux(args: argparse.Namespace) -> int:
                         f"{_round_half_up(end - start, len(live))}\n")
                 handle.write("".join([f"{next(aux_ids)},{heads[wiid]},{tail}"
                                       for wiid in live]))
-    return 0
 
 
-def _cmd_metrics(args: argparse.Namespace) -> int:
-    log = read_log(args.input, args.format)
+def _cmd_metrics(log: EventLog, args: argparse.Namespace) -> None:
     report = summarize(log)
     if args.report:
         write_report(report, args.report)
     else:
         print(report_to_json(report))
-    return 0
 
 
-def _cmd_inject(args: argparse.Namespace) -> int:
-    log = read_log(args.input, args.format)
-    shifted = inject(log, args.shift)
-    write_log(shifted, args.format, args.out)
-    return 0
+def _cmd_inject(log: EventLog, args: argparse.Namespace) -> None:
+    write_log(inject(log, args.shift), args.format, args.out)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -99,6 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
                              help="output file")
         sub.add_argument("--format", choices=FORMATS,
                          help="log format (default: from file extension)")
+        sub.set_defaults(debug_table=False)  # what adjust and aux can set
 
     for name, handler, summary in (
         ("adjust", _cmd_adjust,
@@ -137,7 +126,11 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return args.handler(args)
+        log = read_log(args.input, args.format)
+        if args.debug_table:
+            print(format_adjustment_table(log), file=sys.stderr)
+        args.handler(log, args)
+        return 0
     except (ValueError, OSError) as exc:  # LogFormatError is a ValueError
         print(f"sweeplog: error: {exc}", file=sys.stderr)
         return 1

@@ -116,11 +116,11 @@ def _parse_timestamp(text: str) -> int:
     if moment.tzinfo is None:
         moment = moment.replace(tzinfo=timezone.utc)
     delta = moment - _EPOCH
-    return (
-        delta.days * 86_400_000
-        + delta.seconds * 1_000
-        + _round_half_up(delta.microseconds, 1_000)
-    )
+    ms = (delta.days * 86_400_000 + delta.seconds * 1_000
+          + _round_half_up(delta.microseconds, 1_000))
+    if not -62_135_596_800_000 <= ms <= 253_402_300_799_999:  # format's range
+        raise LogFormatError(f"timestamp {text!r} is outside years 1-9999 UTC")
+    return ms
 
 
 # The "MM:SS." of each second of an hour, and the "mmm+00:00" of each ms.
@@ -197,40 +197,39 @@ def read_csv(path: PathLike) -> EventLog:
     path = Path(path)
     with path.open(newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise LogFormatError(f"{path}: empty file, expected a header")
-        normalized = tuple(column.strip().lower() for column in header)
-        if normalized != CSV_COLUMNS:
-            raise LogFormatError(
-                f"{path}: malformed header {header!r}, "
-                f"expected {','.join(CSV_COLUMNS)}"
-            )
 
         def error(message: str) -> LogFormatError:
             return LogFormatError(f"{path}: line {reader.line_num}: {message}")
 
         rows: list[_Row] = []
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != len(CSV_COLUMNS):
-                raise error(f"expected {len(CSV_COLUMNS)} fields, "
-                            f"got {len(row)}")
-            case_id, activity, resource, start_text, end_text = row
-            column = "start_timestamp"
-            try:
-                start = parse_timestamp(start_text)
-                column = "end_timestamp"
-                end = parse_timestamp(end_text)
-            except LogFormatError as exc:
-                raise error(f"column {column}: {exc}") from None
-            if end < start:
-                raise error("end timestamp precedes start")
-            if not activity or not resource or not case_id:
-                raise error("empty activity, resource or case_id")
-            rows.append((case_id, start, end, activity, resource))
+        try:  # csv.Error: a field over the size limit, or NUL on 3.10
+            header = next(reader, None)
+            if header is None:
+                raise LogFormatError(f"{path}: empty file, expected a header")
+            if tuple(name.strip().lower() for name in header) != CSV_COLUMNS:
+                raise LogFormatError(f"{path}: malformed header {header!r}, "
+                                     f"expected {','.join(CSV_COLUMNS)}")
+            for row in reader:
+                if not row:
+                    continue
+                if len(row) != len(CSV_COLUMNS):
+                    raise error(f"expected {len(CSV_COLUMNS)} fields, "
+                                f"got {len(row)}")
+                case_id, activity, resource, start_text, end_text = row
+                column = "start_timestamp"
+                try:
+                    start = parse_timestamp(start_text)
+                    column = "end_timestamp"
+                    end = parse_timestamp(end_text)
+                except LogFormatError as exc:
+                    raise error(f"column {column}: {exc}") from None
+                if end < start:
+                    raise error("end timestamp precedes start")
+                if not activity or not resource or not case_id:
+                    raise error("empty activity, resource or case_id")
+                rows.append((case_id, start, end, activity, resource))
+        except csv.Error as exc:
+            raise error(str(exc)) from None
     return _assemble(rows)
 
 
@@ -384,23 +383,21 @@ _NON_XML = re.compile(
 def write_xes(log: EventLog, path: PathLike) -> None:
     """Write a log in the XES dialect.
 
-    Traces are sorted by id; each item becomes a start and a complete
-    event, and a trace's events are ordered by timestamp (stable on ties,
-    so FIFO re-reading reproduces the items).  The text is fixed, with
-    ElementTree's escapes in attribute values.  A name holding a
-    character that XML 1.0 cannot carry raises :class:`ValueError`
-    before the file is opened.
+    Items are written in log order, which groups them by trace id.  Each
+    becomes a start and a complete event, and a trace's events are
+    ordered by timestamp (stable on ties, so FIFO re-reading reproduces
+    the items).  The text is fixed, with ElementTree's escapes in
+    attribute values.  A name holding a character that XML 1.0 cannot
+    carry raises :class:`ValueError` before the file is opened.
     """
-    ordered = sorted(log.items,
-                     key=lambda w: (w.trace_id, w.start, w.end, _id_key(w.id)))
-    for item in ordered:
+    for item in log.items:
         bad = _NON_XML.search(item.trace_id + item.activity + item.resource)
         if bad:
             raise ValueError(f"{path}: trace {item.trace_id!r}: character "
                              f"{bad[0]!r} cannot be written to XML")
     with Path(path).open("w", encoding="utf-8") as handle:
         handle.write(_XES_HEAD)
-        for trace_id, items in groupby(ordered, key=lambda w: w.trace_id):
+        for trace_id, items in groupby(log.items, key=attrgetter("trace_id")):
             handle.write(f"""\
   <trace>
     <string key="concept:name" value="{trace_id.translate(_ESCAPE)}" />

@@ -16,7 +16,7 @@ Exact ends and shares are built only on request.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, chain, count
@@ -257,7 +257,9 @@ def adjust_log(log: EventLog) -> LogAdjustment:
         scale, clock = clocks[item.resource]
         end = item.start + _round_half_up(
             clock[item.end] - clock[item.start], scale)
-        coalesced.append(item if end == item.end else replace(item, end=end))
+        coalesced.append(item if end == item.end else WorkItem(
+            item.id, item.activity, item.resource, item.trace_id,
+            item.start, end))
     # Ids, trace ids and starts come from a validated log and no end falls
     # below its start, so validating again could change no order.
     return LogAdjustment(EventLog(tuple(coalesced)), source=log)

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from sweeplog import model
+from sweeplog import cli, logio, model
 from sweeplog.cli import main, run
 from sweeplog.logio import (
     read_csv,
@@ -278,6 +278,110 @@ class TestReadersAreTheOnlyCheck:
                 assert run([*argv, "--in", str(source)]) == 0
 
 
+class TestOneRead:
+    @pytest.mark.parametrize("argv, tables", [
+        ("adjust --out {tmp}/a.csv", 0),
+        ("adjust --out {tmp}/a.csv --debug-table", 1),
+        ("aux --out {tmp}/aux.csv", 0),
+        ("aux --out {tmp}/aux.csv --debug-table", 1),
+        ("metrics", 0),
+        ("metrics --report {tmp}/r.json", 0),
+        ("inject --shift 0.5 --out {tmp}/i.csv", 0),
+    ])
+    def test_each_run_reads_the_log_once(self, four_csv, tmp_path,
+                                         monkeypatch, capsys, argv, tables):
+        calls = {}
+
+        def counted(module, name):
+            function = getattr(module, name)
+
+            def wrapper(*args):
+                calls[name] = calls.get(name, 0) + 1
+                return function(*args)
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(cli, "read_log")
+        counted(logio, "read_csv")
+        counted(cli, "format_adjustment_table")
+        command, *rest = argv.format(tmp=tmp_path).split()
+        assert run([command, "--in", str(four_csv), *rest]) == 0
+        assert calls == {"read_log": 1, "read_csv": 1,
+                         **({"format_adjustment_table": 1} if tables else {})}
+        assert ("intervals" in capsys.readouterr().err) == bool(tables)
+
+
+def one_error_line(capsys) -> str:
+    """The one stderr line of a failed run."""
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("sweeplog: error: ")
+    assert captured.out == ""
+    return lines[0]
+
+
+class TestFaultsInTheInput:
+    """Input faults end in one error line, exit 1 and no output file."""
+
+    @pytest.mark.parametrize("command", ["adjust", "aux", "inject --shift 0"])
+    def test_instant_outside_years_1_to_9999(self, tmp_path, capsys,
+                                             command):
+        source = Path(__file__).parent / "data" / "out_of_range.csv"
+        out = tmp_path / "out.csv"
+        assert run([*command.split(), "--in", str(source),
+                    "--out", str(out)]) == 1
+        assert one_error_line(capsys).endswith(
+            "out_of_range.csv: line 3: column end_timestamp: timestamp "
+            "'9999-12-31T23:10:00.000-01:00' is outside years 1-9999 UTC")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("stamp", ["0001-01-01T00:10:00.000+01:00",
+                                       "0001-01-01T00:00:00.000+00:01",
+                                       "9999-12-31T23:10:00.000-01:00",
+                                       "9999-12-31T23:59:59.9995Z"])
+    def test_xes_instant_outside_years_1_to_9999(self, tmp_path, capsys,
+                                                 stamp):
+        source, out = tmp_path / "in.xes", tmp_path / "out.xes"
+        source.write_text(
+            '<log><trace><string key="concept:name" value="c1"/>'
+            + xes_event("T1", "R1", "start", stamp)
+            + xes_event("T1", "R1", "complete", stamp)
+            + "</trace></log>", encoding="utf-8")
+        assert run(["adjust", "--in", str(source), "--out", str(out)]) == 1
+        assert one_error_line(capsys) == (
+            f"sweeplog: error: {source}: trace 'c1', activity 'T1': "
+            f"timestamp {stamp!r} is outside years 1-9999 UTC")
+        assert not out.exists()
+
+    def test_instants_at_the_bounds_are_written(self, tmp_path, capsys):
+        source, out = tmp_path / "bounds.csv", tmp_path / "out.csv"
+        source.write_text(
+            "case_id,activity,resource,start_timestamp,end_timestamp\n"
+            "c1,T1,R1,0001-01-01T01:00:00+01:00,0001-01-01T01:00:00Z\n"
+            "c1,T2,R1,9999-12-31T23:00:00Z,9999-12-31T22:59:59.999-01:00\n",
+            encoding="utf-8")
+        for command in ("adjust", "aux"):
+            assert run([command, "--in", str(source), "--out", str(out)]) == 0
+            text = out.read_text(encoding="utf-8")
+            assert "0001-01-01T00:00:00.000+00:00" in text
+            assert "9999-12-31T23:59:59.999+00:00" in text
+        assert capsys.readouterr().err == ""
+
+    def test_field_over_the_csv_limit(self, tmp_path, capsys):
+        # The limit is csv.field_size_limit(), 131,072 characters unless a
+        # program sets it.
+        source, out = tmp_path / "long.csv", tmp_path / "out.csv"
+        source.write_text(
+            "case_id,activity,resource,start_timestamp,end_timestamp\n"
+            f"c1,{'x' * 140_000},R1,2020-01-01T00:00:00Z,"
+            "2020-01-01T00:01:00Z\n", encoding="utf-8")
+        for argv in (["metrics"], ["adjust", "--out", str(out)]):
+            assert run([*argv, "--in", str(source)]) == 1
+            assert one_error_line(capsys) == (
+                f"sweeplog: error: {source}: line 2: field larger than "
+                "field limit (131072)")
+        assert not out.exists()
+
+
 def test_checked_in_fixture_is_the_four_task_log(four_csv):
     # tests/data/four_tasks.csv is the input CI gives the installed script.
     fixture = Path(__file__).parent / "data" / "four_tasks.csv"
@@ -333,6 +437,9 @@ def test_checked_in_stamp_forms_are_the_four_task_log():
     ("adjust --debug-table", "four_tasks.csv", "four_tasks.debug.txt"),
     ("adjust --debug-table", "thirds.csv", "thirds.debug.txt"),
     ("adjust --debug-table", "quoted.csv", "quoted.debug.txt"),
+    ("aux --debug-table", "four_tasks.csv", "four_tasks.debug.txt"),
+    ("aux --debug-table", "thirds.csv", "thirds.debug.txt"),
+    ("aux --debug-table", "quoted.csv", "quoted.debug.txt"),
 ])
 def test_outputs_match_the_checked_in_golden_files(tmp_path, capsys, command,
                                                    source, golden):

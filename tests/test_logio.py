@@ -204,6 +204,67 @@ class TestTimestamps:
                 format_timestamp(ms)
 
 
+class TestInstantRange:
+    """Instants must lie in years 1-9999 UTC, the range format_timestamp
+    writes, whatever offset names them."""
+
+    INSIDE = [("0001-01-01T00:00:00.000Z", FIRST_MS),
+              ("0001-01-01T01:00:00.000+01:00", FIRST_MS),
+              ("0001-01-01T00:00:00.0004Z", FIRST_MS),
+              ("9999-12-31T23:59:59.999Z", LAST_MS),
+              ("9999-12-31T22:59:59.999-01:00", LAST_MS),
+              ("9999-12-31T23:59:59.9994Z", LAST_MS)]
+    OUTSIDE = ["0001-01-01T00:10:00.000+01:00", "0001-01-01T00:00:00+00:01",
+               "9999-12-31T23:10:00.000-01:00", "9999-12-31T23:59:59.9995Z"]
+
+    @pytest.mark.parametrize("text, ms", INSIDE)
+    def test_the_bounds_read(self, text, ms):
+        assert parse_timestamp(text) == ms
+        assert format_timestamp(ms)[:4] == text[:4]
+
+    @pytest.mark.parametrize("text", OUTSIDE)
+    def test_beyond_the_bounds_is_refused(self, text):
+        with pytest.raises(LogFormatError) as refused:
+            parse_timestamp(text)
+        assert str(refused.value) == (
+            f"timestamp {text!r} is outside years 1-9999 UTC")
+
+    @pytest.mark.parametrize("row, column", [
+        ("0001-01-01T00:10:00+01:00,2020-01-01T00:00:00Z", "start"),
+        ("2020-01-01T00:00:00Z,9999-12-31T23:10:00-01:00", "end")])
+    def test_csv_names_line_and_column(self, tmp_path, row, column):
+        path = tmp_path / "range.csv"
+        path.write_text(
+            ",".join(CSV_COLUMNS) + "\n"
+            + "c1,T1,R1,0001-01-01T00:00:00Z,9999-12-31T23:59:59.999Z\n"
+            + f"c1,T2,R1,{row}\n", encoding="utf-8")
+        with pytest.raises(LogFormatError, match=(
+                f"line 3: column {column}_timestamp: timestamp '.*' is "
+                "outside years 1-9999 UTC")):
+            read_csv(path)
+
+    def test_xes_names_trace_and_activity(self, tmp_path):
+        for text in self.OUTSIDE:
+            path = tmp_path / "range.xes"
+            path.write_text(xes_text([("c1", [
+                xes_event("T1", "R1", "start", "0001-01-01T00:00:00Z"),
+                xes_event("T1", "R1", "complete", "9999-12-31T23:59:59.999Z"),
+                xes_event("T2", "R1", "start", text),
+                xes_event("T2", "R1", "complete", text)])]),
+                encoding="utf-8")
+            with pytest.raises(LogFormatError,
+                               match="trace 'c1', activity 'T2': timestamp"):
+                read_xes(path)
+
+    def test_a_log_at_the_bounds_round_trips(self, tmp_path):
+        log = make_log([wi(1, FIRST_MS, FIRST_MS + MINUTE),
+                        wi(2, LAST_MS - MINUTE, LAST_MS)])
+        for name, write, read in (("b.csv", write_csv, read_csv),
+                                  ("b.xes", write_xes, read_xes)):
+            write(log, tmp_path / name)
+            assert read(tmp_path / name) == log
+
+
 def outcome(parse, text):
     """What a parser gives: epoch ms, or the text of its LogFormatError."""
     try:
@@ -421,6 +482,23 @@ class TestReadCsv:
         )
         with pytest.raises(LogFormatError, match="line 2"):
             read_csv(path)
+
+
+    @pytest.mark.parametrize("where", ["header", "row"])
+    def test_field_over_the_csv_limit_names_its_line(self, tmp_path, where):
+        path = tmp_path / "long.csv"
+        long_field = "x" * (csv.field_size_limit() + 1)
+        header = ",".join(CSV_COLUMNS)
+        row = "c1,T1,R1,2016-04-01T09:00:00Z,2016-04-01T10:00:00Z"
+        lines = ({"header": [header[:-1] + long_field, row],
+                  "row": [header, row, row.replace("T1", long_field)]})[where]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        line = 1 if where == "header" else 3
+        with pytest.raises(LogFormatError) as refused:
+            read_csv(path)
+        assert str(refused.value) == (
+            f"{path}: line {line}: field larger than field limit "
+            f"({csv.field_size_limit()})")
 
 
 class TestCsvRoundTrip:
@@ -812,6 +890,24 @@ class TestXesRoundTrip:
 
     def test_empty_log(self, tmp_path):
         assert self.round_trip(tmp_path, make_log([])) == make_log([])
+
+    def test_items_sharing_a_start_are_written_in_log_order(self, tmp_path):
+        # Items 9 and 10 share a trace and a start.  Ids sort as text, so
+        # the log puts 10 first, although 9 ends first; reading assigns
+        # these ids, so the log reads back equal.
+        log = make_log([wi(n, n * MINUTE, n * MINUTE) for n in range(1, 9)]
+                       + [wi(9, 60 * MINUTE, 70 * MINUTE, activity="T9"),
+                          wi(10, 60 * MINUTE, 80 * MINUTE, activity="T10")])
+        assert [item.id for item in log.items[-2:]] == [10, 9]
+        path = tmp_path / "ties.xes"
+        write_xes(log, path)
+        starts = [
+            {field.get("key"): field.get("value") for field in event}
+            for event in ET.parse(path).iter("event")]
+        starts = [event["concept:name"] for event in starts
+                  if event["lifecycle:transition"] == "start"]
+        assert starts[-2:] == ["T10", "T9"]
+        assert read_xes(path) == log
 
 
 # Names holding every character ElementTree escapes in an attribute, a
