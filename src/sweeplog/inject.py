@@ -3,9 +3,11 @@
 Benchmarking the adjuster and the indexes needs logs with a known amount
 of overlap.  Starting from a log without multitasking, this module finds
 adjacent items per resource (first ends exactly where second starts),
-picks disjoint pairs greedily, and slides each pair's second item earlier
-by a fraction of the pair's larger duration.  Both of its timestamps move,
-so its duration, activity, resource, and trace are untouched.
+picks disjoint pairs greedily in one pass with a pointer per start, and
+slides each pair's second item earlier by a fraction of the pair's larger
+duration.  Both of its timestamps move, so its duration, activity,
+resource, and trace are untouched, and only the trace blocks where a
+shifted item passes its predecessor are sorted again.
 
 With the shift delta set to ``percentage * max(dur_first, dur_second)``
 the resulting pair overlap ratio equals the percentage whenever the
@@ -17,9 +19,11 @@ its partner.
 
 from __future__ import annotations
 
-from collections import deque
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
+from typing import Iterator
 
 from .model import (
     DurationMs,
@@ -28,7 +32,7 @@ from .model import (
     ResourceSegment,
     WorkItem,
     WorkItemId,
-    _ordered,
+    _log_order,
     _round_half_up,
     segments_per_resource,
 )
@@ -61,19 +65,35 @@ def find_adjacent_pairs(
     pool.  A pivot without a partner is skipped.  Instantaneous items take
     no part at all.
     """
-    by_start: dict[Instant, deque[WorkItem]] = {}
-    for item in segment.items:
+    items, pairs = segment.items, []
+    # head: each start's first unclaimed position (instantaneous items come
+    # first in their start group and get none).  A partner starts after its
+    # pivot, so every claim on a group comes before its items are pivots.
+    head: dict[Instant, int] = {}
+    for position, item in enumerate(items):
         if item.end > item.start:
-            by_start.setdefault(item.start, deque()).append(item)
-    pairs: list[tuple[WorkItem, WorkItem]] = []
-    # Groups come in start order and a partner starts after its pivot, so
-    # every claim on a group's items is made before they act as pivots.
-    for group in by_start.values():
-        for pivot in group:
-            waiting = by_start.get(pivot.end)
-            if waiting:
-                pairs.append((pivot, waiting.popleft()))
+            head.setdefault(item.start, position)
+    for position, pivot in enumerate(items):
+        if pivot.end > pivot.start and head[pivot.start] <= position:
+            at = head.get(pivot.end, len(items))
+            if at < len(items) and items[at].start == pivot.end:
+                head[pivot.end] = at + 1
+                pairs.append((pivot, items[at]))
     return pairs
+
+
+def _planned(log: EventLog, percentage: float) -> Iterator[tuple]:
+    # (first, second, delta) for each pair, in plan_shifts' order.
+    if not 0.0 <= percentage <= 1.0:
+        raise ValueError("shift percentage must lie in [0, 1], "
+                         f"got {percentage}")
+    num, den = Fraction(str(percentage)).as_integer_ratio()  # as typed
+    for segment in segments_per_resource(log):
+        for first, second in find_adjacent_pairs(segment):
+            duration = first.end - first.start
+            longest = max(duration, second.end - second.start)
+            yield first, second, min(_round_half_up(num * longest, den),
+                                     duration)
 
 
 def plan_shifts(log: EventLog, percentage: float) -> ShiftPlan:
@@ -82,18 +102,9 @@ def plan_shifts(log: EventLog, percentage: float) -> ShiftPlan:
     delta = percentage * max(durations), rounded half-up to a whole
     millisecond and clamped to the first item's duration.
     """
-    if not 0.0 <= percentage <= 1.0:
-        raise ValueError(
-            f"shift percentage must lie in [0, 1], got {percentage}"
-        )
-    num, den = Fraction(str(percentage)).as_integer_ratio()  # as typed
-    planned: list[PlannedShift] = []
-    for segment in segments_per_resource(log):
-        for first, second in find_adjacent_pairs(segment):
-            longest = max(first.duration, second.duration)
-            delta = min(_round_half_up(num * longest, den), first.duration)
-            planned.append(PlannedShift(first.id, second.id, delta))
-    return ShiftPlan(percentage=percentage, pairs=tuple(planned))
+    return ShiftPlan(percentage, tuple(
+        PlannedShift(first.id, second.id, delta)
+        for first, second, delta in _planned(log, percentage)))
 
 
 def inject(log: EventLog, percentage: float) -> EventLog:
@@ -103,14 +114,24 @@ def inject(log: EventLog, percentage: float) -> EventLog:
     activities, resources, and trace structure are preserved.  Percentage
     0 returns an identical log.
     """
-    plan = plan_shifts(log, percentage)
-    deltas = {shift.second_id: shift.delta for shift in plan.pairs}
-    shifted = [
-        WorkItem(item.id, item.activity, item.resource, item.trace_id,
-                 item.start - deltas[item.id], item.end - deltas[item.id])
-        if item.id in deltas else item
-        for item in log.items
-    ]
-    # A shift keeps each duration, id, resource and activity, so the
-    # shifted items pass validate_log's checks; only their order changes.
-    return _ordered(shifted)
+    deltas = {second.id: delta
+              for _, second, delta in _planned(log, percentage)}
+    items, unsorted = list(log.items), {}
+    for position, item in enumerate(log.items):
+        if item.id in deltas:
+            delta = deltas[item.id]
+            items[position] = moved = WorkItem(
+                item.id, item.activity, item.resource, item.trace_id,
+                item.start - delta, item.end - delta)
+            # Keys only fall, so the log stays in order unless a shifted
+            # item falls below its (possibly shifted) predecessor.
+            if position and _log_order(items[position - 1]) > _log_order(moved):
+                unsorted[item.trace_id] = position
+    by_trace = attrgetter("trace_id")
+    for trace_id, position in unsorted.items():  # sort each such trace alone
+        lo = bisect_left(items, trace_id, hi=position, key=by_trace)
+        hi = bisect_right(items, trace_id, position, key=by_trace)
+        items[lo:hi] = sorted(items[lo:hi], key=_log_order)
+    # A moved item keeps its duration and starts no earlier than its
+    # pair's first, so the log needs no second validation.
+    return EventLog(tuple(items))

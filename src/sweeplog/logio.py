@@ -35,7 +35,8 @@ from typing import Callable, Iterable, Sequence, Union
 from xml.parsers import expat
 
 from .metrics import MetricsReport
-from .model import EventLog, WorkItem, _id_key, _round_half_up
+from .model import (FIRST_INSTANT, LAST_INSTANT, EventLog, WorkItem,
+                    _id_key, _round_half_up)
 
 PathLike = Union[str, Path]
 
@@ -118,7 +119,7 @@ def _parse_timestamp(text: str) -> int:
     delta = moment - _EPOCH
     ms = (delta.days * 86_400_000 + delta.seconds * 1_000
           + _round_half_up(delta.microseconds, 1_000))
-    if not -62_135_596_800_000 <= ms <= 253_402_300_799_999:  # format's range
+    if not FIRST_INSTANT <= ms <= LAST_INSTANT:
         raise LogFormatError(f"timestamp {text!r} is outside years 1-9999 UTC")
     return ms
 

@@ -18,6 +18,9 @@ WorkItemId = Union[int, str]
 Instant = int
 DurationMs = int
 
+# The instants format_timestamp can write: years 1-9999 UTC.
+FIRST_INSTANT, LAST_INSTANT = -62_135_596_800_000, 253_402_300_799_999
+
 
 class LogValidationError(ValueError):
     """Raised when one or more work items violate the log contract.
@@ -119,9 +122,9 @@ def validate_log(raw_items: Iterable[WorkItem]) -> EventLog:
 
     Raises:
         LogValidationError: listing every item whose end precedes its
-            start, that lacks a resource, activity or trace id, or whose id
-            repeats (ids such as 1 and "1" share a sort key, so they count
-            as one).
+            start, whose start or end lies outside years 1-9999 UTC, that
+            lacks a resource, activity or trace id, or whose id repeats
+            (ids such as 1 and "1" share a sort key, so they count as one).
     """
     items = list(raw_items)
     problems: list[str] = []
@@ -130,6 +133,9 @@ def validate_log(raw_items: Iterable[WorkItem]) -> EventLog:
         if item.end < item.start:
             problems.append(f"item {item.id!r}: end precedes start "
                             f"({item.end} < {item.start})")
+        if item.start < FIRST_INSTANT or item.end > LAST_INSTANT:
+            problems.append(f"item {item.id!r}: instant outside years "
+                            "1-9999 UTC")
         if not item.resource:
             problems.append(f"item {item.id!r}: missing resource")
         if not item.activity:
@@ -144,11 +150,14 @@ def validate_log(raw_items: Iterable[WorkItem]) -> EventLog:
     return _ordered(items)
 
 
+def _log_order(item: WorkItem) -> tuple[str, Instant, str]:
+    # validate_log's sort key: trace id, start, then the id as text.
+    return item.trace_id, item.start, _id_key(item.id)
+
+
 def _ordered(items: Iterable[WorkItem]) -> EventLog:
     # The order of validate_log, for items already known to pass its checks.
-    return EventLog(tuple(
-        sorted(items, key=lambda w: (w.trace_id, w.start, _id_key(w.id)))
-    ))
+    return EventLog(tuple(sorted(items, key=_log_order)))
 
 
 def segments_per_resource(log: EventLog) -> list[ResourceSegment]:

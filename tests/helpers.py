@@ -22,6 +22,10 @@ of tuples replaced; ``shares_by_resource`` and ``aux_text_by_rows`` use it.
 ``csv.writer``, which rows joined bare replaced when no name needs
 quoting, and ``plan_shifts_by_fractions`` is the planner that multiplied a
 ``Fraction`` per pair, which integer deltas replaced.
+``adjacent_pairs_by_deques`` and ``inject_by_full_sort`` are the injector
+that kept a ``deque`` per start and sorted the whole shifted log again,
+which a pointer per start and a sort of only the trace blocks that moved
+replaced.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ import io
 import random
 import xml.etree.ElementTree as ET
 from fractions import Fraction
+from collections import deque
 from itertools import combinations
 from math import comb, fsum
 from pathlib import Path
@@ -52,6 +57,7 @@ from sweeplog.model import (
     ResourceSegment,
     WorkItem,
     _id_key,
+    _ordered,
     _round_half_up,
     round_half_up_ms,
     segments_per_resource,
@@ -756,3 +762,42 @@ def plan_shifts_by_fractions(log: EventLog, percentage: float) -> ShiftPlan:
             planned.append(PlannedShift(first.id, second.id,
                                         min(delta, first.duration)))
     return ShiftPlan(percentage=percentage, pairs=tuple(planned))
+
+
+def adjacent_pairs_by_deques(segment):
+    """``find_adjacent_pairs`` with one ``deque`` of items per start."""
+    by_start = {}
+    for item in segment.items:
+        if item.end > item.start:
+            by_start.setdefault(item.start, deque()).append(item)
+    pairs = []
+    # Groups come in start order and a partner starts after its pivot, so
+    # every claim on a group's items is made before they act as pivots.
+    for group in by_start.values():
+        for pivot in group:
+            waiting = by_start.get(pivot.end)
+            if waiting:
+                pairs.append((pivot, waiting.popleft()))
+    return pairs
+
+
+def inject_by_full_sort(log: EventLog, percentage: float) -> EventLog:
+    """``inject`` through ``PlannedShift``-style deltas over the deque
+    pairing, with the whole shifted log sorted again by ``_ordered``."""
+    if not 0.0 <= percentage <= 1.0:
+        raise ValueError(
+            f"shift percentage must lie in [0, 1], got {percentage}"
+        )
+    num, den = Fraction(str(percentage)).as_integer_ratio()
+    deltas = {}
+    for segment in segments_per_resource(log):
+        for first, second in adjacent_pairs_by_deques(segment):
+            longest = max(first.duration, second.duration)
+            deltas[second.id] = min(_round_half_up(num * longest, den),
+                                    first.duration)
+    return _ordered([
+        WorkItem(item.id, item.activity, item.resource, item.trace_id,
+                 item.start - deltas[item.id], item.end - deltas[item.id])
+        if item.id in deltas else item
+        for item in log.items
+    ])

@@ -433,6 +433,9 @@ def test_checked_in_stamp_forms_are_the_four_task_log():
     # them; every version must write the same bytes.
     ("adjust", "quoted.csv", "quoted.adjusted.csv"),
     ("aux", "quoted.csv", "quoted.aux.csv"),
+    # Adjacent pairs across traces on two resources, ids past 9, and a
+    # shifted item that passes its trace predecessor.
+    ("inject --shift 0.3", "chain.csv", "chain.injected.csv"),
     # The sweep's state, which --debug-table writes to stderr.
     ("adjust --debug-table", "four_tasks.csv", "four_tasks.debug.txt"),
     ("adjust --debug-table", "thirds.csv", "thirds.debug.txt"),

@@ -19,10 +19,14 @@ intervals, shares, ``aux`` file and debug table are checked against the
 object sweep it replaced, and the readers' one sort against the order
 ``validate_log`` gives.  ``write_csv`` is checked against the
 ``csv.writer`` it replaced, byte for byte, and ``plan_shifts`` against the
-planner that built a ``Fraction`` per pair.
+planner that built a ``Fraction`` per pair.  ``inject`` is checked against
+the injector that paired through a ``deque`` per start and sorted the whole
+shifted log again, and is kept from building a ``PlannedShift`` or calling
+``_ordered``.
 """
 
 import csv
+import importlib
 import io
 import random
 from dataclasses import replace
@@ -72,6 +76,7 @@ from helpers import (
     aux_items_by_objects,
     aux_text_by_rows,
     coalesced_by_shares,
+    inject_by_full_sort,
     intervals_by_objects,
     make_log,
     mtli_by_double_loop,
@@ -698,3 +703,54 @@ def test_integer_deltas_equal_the_fraction_planner(logs, percentage):
         assert plan == plan_shifts_by_fractions(log, percentage)
         planned += len(plan.pairs)
     assert planned > 100
+
+
+# The package exports the function inject under the module's name.
+inject_module = importlib.import_module("sweeplog.inject")
+SHIFTS = (0, 0.05, 0.1, 0.3, 0.5, 0.7, 1.0)
+
+
+def reordered(before, after):
+    return [item.id for item in before] != [item.id for item in after]
+
+
+def test_inject_equals_the_full_sort_reference(logs, crowded_logs):
+    moved = 0
+    for percentage in SHIFTS:
+        for log in logs + crowded_logs:
+            injected = inject(log, percentage)
+            assert injected == inject_by_full_sort(log, percentage)
+            moved += reordered(log, injected)
+    assert moved > LOGS  # many cases take the block re-sort
+
+
+def test_inject_reorders_a_trace_across_ids_9_and_10():
+    # Item 10 is shifted back to item 9's start in trace t1, where "10"
+    # sorts before "9"; item 8 passes item 12 in trace t2 by its start.
+    log = make_log([
+        wi(1, 95, 100, trace="t0"), wi(10, 100, 110, trace="t1"),
+        wi(9, 95, 120, resource="R2", trace="t1"),
+        wi(11, 200, 210, trace="t3"), wi(8, 210, 230, trace="t2"),
+        wi(12, 205, 240, resource="R2", trace="t2"),
+    ])
+    assert log.trace_index["t1"] == (9, 10)
+    assert log.trace_index["t2"] == (12, 8)
+    injected = inject(log, 0.5)
+    assert injected == inject_by_full_sort(log, 0.5)
+    assert injected.trace_index["t1"] == (10, 9)
+    assert injected.trace_index["t2"] == (8, 12)
+    assert validate_log(injected.items) == injected
+
+
+def test_inject_builds_no_planned_shift_and_sorts_no_whole_log(
+        logs, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a PlannedShift was built or the log re-sorted")
+
+    expected = [inject_by_full_sort(log, 0.3) for log in logs]
+    monkeypatch.setattr(inject_module, "PlannedShift", forbidden)
+    monkeypatch.setattr(inject_module, "_ordered", forbidden, raising=False)
+    monkeypatch.setattr(model, "_ordered", forbidden)
+    injected = [inject(log, 0.3) for log in logs]
+    assert injected == expected
+    assert sum(map(reordered, logs, injected)) > 0

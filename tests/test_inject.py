@@ -5,8 +5,9 @@ from fractions import Fraction
 import pytest
 
 from sweeplog.inject import find_adjacent_pairs, inject, plan_shifts
+from sweeplog.logio import read_csv, write_csv
 from sweeplog.metrics import mtwii, overlap, summarize
-from sweeplog.model import segments_per_resource
+from sweeplog.model import FIRST_INSTANT, segments_per_resource, validate_log
 
 from helpers import make_log, wi
 
@@ -211,3 +212,16 @@ class TestInject:
         report = summarize(inject(log, 0.4))
         assert report.counts.pairs_overlapped >= len(plan.pairs)
         assert len(plan.pairs) == 5
+
+    def test_a_shift_never_passes_the_first_items_start(self, tmp_path):
+        # So no shifted instant can leave the years the writers can format.
+        log = make_log([wi("a", FIRST_INSTANT, FIRST_INSTANT + 10),
+                        wi("b", FIRST_INSTANT + 10, FIRST_INSTANT + 50)])
+        injected = inject(log, 1.0)
+        assert injected.by_id()["b"].start == FIRST_INSTANT
+        assert validate_log(injected.items) == injected
+        write_csv(injected, tmp_path / "out.csv")
+        assert [(item.start, item.end)
+                for item in read_csv(tmp_path / "out.csv").items] == [
+            (FIRST_INSTANT, FIRST_INSTANT + 10),
+            (FIRST_INSTANT, FIRST_INSTANT + 40)]

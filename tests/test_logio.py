@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import sweeplog
-from sweeplog import logio
+from sweeplog import logio, model
 from sweeplog.logio import (
     CSV_COLUMNS,
     LogFormatError,
@@ -255,6 +255,9 @@ class TestInstantRange:
             with pytest.raises(LogFormatError,
                                match="trace 'c1', activity 'T2': timestamp"):
                 read_xes(path)
+
+    def test_readers_and_validate_log_share_the_bounds(self):
+        assert (model.FIRST_INSTANT, model.LAST_INSTANT) == (FIRST_MS, LAST_MS)
 
     def test_a_log_at_the_bounds_round_trips(self, tmp_path):
         log = make_log([wi(1, FIRST_MS, FIRST_MS + MINUTE),

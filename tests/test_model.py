@@ -1,6 +1,8 @@
 import pytest
 
 from sweeplog.model import (
+    FIRST_INSTANT,
+    LAST_INSTANT,
     LogValidationError,
     WorkItem,
     segments_per_resource,
@@ -56,6 +58,22 @@ class TestValidateLog:
             with pytest.raises(LogValidationError) as err:
                 validate_log(items)
             assert "duplicate id" in str(err.value)
+
+    @pytest.mark.parametrize("start, end", [
+        (FIRST_INSTANT - 1, FIRST_INSTANT + 1_000),
+        (LAST_INSTANT - 1_000, LAST_INSTANT + 1),
+    ])
+    def test_instants_outside_years_1_to_9999_are_refused(self, start, end):
+        # The writers could not format them and would leave a partial file.
+        with pytest.raises(LogValidationError) as err:
+            validate_log([wi("ok", 0, 10), wi("far", start, end)])
+        assert err.value.problems == [
+            "item 'far': instant outside years 1-9999 UTC"]
+
+    def test_first_and_last_instants_are_legal(self):
+        log = validate_log([wi("first", FIRST_INSTANT, FIRST_INSTANT),
+                            wi("last", FIRST_INSTANT, LAST_INSTANT)])
+        assert len(log) == 2
 
     def test_zero_duration_is_legal(self):
         log = validate_log([wi("z", 5, 5)])
