@@ -6,8 +6,8 @@ adjacent items per resource (first ends exactly where second starts),
 picks disjoint pairs greedily in one pass with a pointer per start, and
 slides each pair's second item earlier by a fraction of the pair's larger
 duration.  Both of its timestamps move, so its duration, activity,
-resource, and trace are untouched, and only the trace blocks where a
-shifted item passes its predecessor are sorted again.
+resource, and trace are untouched.  With every shift applied, the model
+re-sorts only the trace blocks where a shifted item passes its predecessor.
 
 With the shift delta set to ``percentage * max(dur_first, dur_second)``
 the resulting pair overlap ratio equals the percentage whenever the
@@ -19,10 +19,8 @@ its partner.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import attrgetter
 from typing import Iterator
 
 from .model import (
@@ -32,7 +30,7 @@ from .model import (
     ResourceSegment,
     WorkItem,
     WorkItemId,
-    _log_order,
+    _resorted,
     _round_half_up,
     segments_per_resource,
 )
@@ -116,22 +114,11 @@ def inject(log: EventLog, percentage: float) -> EventLog:
     """
     deltas = {second.id: delta
               for _, second, delta in _planned(log, percentage)}
-    items, unsorted = list(log.items), {}
-    for position, item in enumerate(log.items):
-        if item.id in deltas:
-            delta = deltas[item.id]
-            items[position] = moved = WorkItem(
-                item.id, item.activity, item.resource, item.trace_id,
-                item.start - delta, item.end - delta)
-            # Keys only fall, so the log stays in order unless a shifted
-            # item falls below its (possibly shifted) predecessor.
-            if position and _log_order(items[position - 1]) > _log_order(moved):
-                unsorted[item.trace_id] = position
-    by_trace = attrgetter("trace_id")
-    for trace_id, position in unsorted.items():  # sort each such trace alone
-        lo = bisect_left(items, trace_id, hi=position, key=by_trace)
-        hi = bisect_right(items, trace_id, position, key=by_trace)
-        items[lo:hi] = sorted(items[lo:hi], key=_log_order)
+    items = [WorkItem(item.id, item.activity, item.resource, item.trace_id,
+                      item.start - deltas[item.id], item.end - deltas[item.id])
+             if item.id in deltas else item for item in log.items]
+    # Keys only fall, so only a shifted item can fall below its predecessor.
     # A moved item keeps its duration and starts no earlier than its
     # pair's first, so the log needs no second validation.
-    return EventLog(tuple(items))
+    return _resorted(items, (position for position, item
+                             in enumerate(log.items) if item.id in deltas))

@@ -24,7 +24,6 @@ from __future__ import annotations
 import csv
 import json
 import re
-from bisect import bisect_left, bisect_right
 from datetime import date, datetime, time, timedelta, timezone
 from functools import lru_cache
 from itertools import groupby
@@ -36,7 +35,7 @@ from xml.parsers import expat
 
 from .metrics import MetricsReport
 from .model import (FIRST_INSTANT, LAST_INSTANT, EventLog, WorkItem,
-                    _id_key, _round_half_up)
+                    _resorted, _round_half_up)
 
 PathLike = Union[str, Path]
 
@@ -153,11 +152,13 @@ def parse_timestamp(text: str) -> int:
     other text goes to the full parser, whose language and errors are kept.
     """
     day = _day_ms(text[:11]) if text[23:] in ("Z", "z", "+00:00") else None
-    try:  # a None day or a missed piece leaves it to the full parser
-        return (day + _HOUR_MS[text[11:14]] + _MM_SS_MS[text[14:20]]
-                + _MILLI_MS[text[20:23]])
-    except (TypeError, KeyError):
-        return _parse_timestamp(text)
+    if day is not None:
+        try:  # a missed piece leaves it to the full parser
+            return (day + _HOUR_MS[text[11:14]] + _MM_SS_MS[text[14:20]]
+                    + _MILLI_MS[text[20:23]])
+        except KeyError:
+            pass
+    return _parse_timestamp(text)
 
 
 @lru_cache(maxsize=1024)  # bounded: random stamps would fill a plain cache
@@ -175,18 +176,13 @@ def format_timestamp(ms: int) -> str:
 def _assemble(rows: Iterable[_Row]) -> EventLog:
     # Ids are sequential in canonical row order, so re-reads get identical
     # ids.  Rows already meet validate_log's rules and order, but that ids
-    # sort as text: consecutive ids differ in text order only across 10^k.
+    # sort as text: consecutive ids differ in text order only across 10^k,
+    # so _resorted checks each id 10^k against its predecessor.
     items = [WorkItem(seq, activity, resource, trace_id, start, end)
              for seq, (trace_id, start, end, activity, resource)
              in enumerate(sorted(rows), start=1)]
-    group, power = attrgetter("trace_id", "start"), 10
-    while power <= len(items):  # sort the (trace id, start) group of 10^k
-        key = group(items[power - 1])
-        lo = bisect_left(items, key, key=group)
-        hi = bisect_right(items, key, lo, key=group)
-        items[lo:hi] = sorted(items[lo:hi], key=lambda w: _id_key(w.id))
-        power *= 10
-    return EventLog(tuple(items))
+    return _resorted(items, (10**k - 1  # the index of id 10^k
+                             for k in range(1, len(str(len(items))))))
 
 
 def read_csv(path: PathLike) -> EventLog:

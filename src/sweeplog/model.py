@@ -8,9 +8,11 @@ round to whole milliseconds only for the logs they return.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import attrgetter
 from typing import Iterable, Iterator, Mapping, Union
 
 WorkItemId = Union[int, str]
@@ -158,6 +160,19 @@ def _log_order(item: WorkItem) -> tuple[str, Instant, str]:
 def _ordered(items: Iterable[WorkItem]) -> EventLog:
     # The order of validate_log, for items already known to pass its checks.
     return EventLog(tuple(sorted(items, key=_log_order)))
+
+
+def _resorted(items: list[WorkItem], positions: Iterable[int]) -> EventLog:
+    # _ordered(items), for a list in that order but that the item at each
+    # given position may fall below its predecessor: each such trace block
+    # is sorted alone, in place.
+    by_trace = attrgetter("trace_id")
+    for at in positions:
+        if at and _log_order(items[at - 1]) > _log_order(items[at]):
+            lo = bisect_left(items, items[at].trace_id, hi=at, key=by_trace)
+            hi = bisect_right(items, items[at].trace_id, at, key=by_trace)
+            items[lo:hi] = sorted(items[lo:hi], key=_log_order)
+    return EventLog(tuple(items))
 
 
 def segments_per_resource(log: EventLog) -> list[ResourceSegment]:

@@ -433,6 +433,9 @@ def test_checked_in_stamp_forms_are_the_four_task_log():
     # them; every version must write the same bytes.
     ("adjust", "quoted.csv", "quoted.adjusted.csv"),
     ("aux", "quoted.csv", "quoted.aux.csv"),
+    # Eleven items of one trace share a start, so ids 10 and 11 sort
+    # between 1 and 2 by text.
+    ("adjust", "straddle.csv", "straddle.adjusted.csv"),
     # Adjacent pairs across traces on two resources, ids past 9, and a
     # shifted item that passes its trace predecessor.
     ("inject --shift 0.3", "chain.csv", "chain.injected.csv"),

@@ -17,7 +17,9 @@ replaced, and the ``aux`` file against one ``writerow`` per share, byte
 for byte, on logs whose names need CSV quoting.  The id sweep's points,
 intervals, shares, ``aux`` file and debug table are checked against the
 object sweep it replaced, and the readers' one sort against the order
-``validate_log`` gives.  ``write_csv`` is checked against the
+``validate_log`` gives and against the re-sort of each id 10^k's
+``(trace id, start)`` group that ``model._resorted`` replaced; reads sort
+no whole log.  ``write_csv`` is checked against the
 ``csv.writer`` it replaced, byte for byte, and ``plan_shifts`` against the
 planner that built a ``Fraction`` per pair.  ``inject`` is checked against
 the injector that paired through a ``deque`` per start and sorted the whole
@@ -39,6 +41,7 @@ from sweeplog.cli import run
 from sweeplog.inject import find_adjacent_pairs, inject, plan_shifts
 from sweeplog.logio import (
     LogFormatError,
+    _assemble,
     format_timestamp,
     read_csv,
     read_log,
@@ -73,6 +76,7 @@ from helpers import (
     adjacent_pairs_by_rescan,
     adjustment_table_by_objects,
     adversarial_items,
+    assemble_by_power_groups,
     aux_items_by_objects,
     aux_text_by_rows,
     coalesced_by_shares,
@@ -395,6 +399,63 @@ def test_reads_give_the_order_of_validate_log(logs, tmp_path, fmt):
         assert read == model._ordered(read.items)
         groups += text_order_groups(read)
     assert groups > 10
+
+
+def rows_of(log):
+    return [(item.trace_id, item.start, item.end, item.activity,
+             item.resource) for item in log.items]
+
+
+def spread_rows(trace, count):
+    """Rows of one trace, each with its own start."""
+    return [(trace, 1_000 + k, 2_000 + k, "spread", "R1")
+            for k in range(count)]
+
+
+def group_rows(trace, count):
+    """Rows of one trace that share start 0."""
+    return [(trace, 0, 1 + k, f"g{k}", "R2") for k in range(count)]
+
+
+@pytest.mark.parametrize("rows, crossings", [
+    (group_rows("c1", 12) + spread_rows("c2", 3), 1),  # 9|10
+    (spread_rows("c1", 95) + group_rows("c2", 10), 1),  # 99|100
+    (spread_rows("c1", 995) + group_rows("c2", 10), 1),  # 999|1000
+    (group_rows("c1", 120), 2),  # 9|10 and 99|100 in one group
+    (group_rows("c1", 12) + spread_rows("c1", 83) + group_rows("c2", 10), 2),
+])
+def test_assemble_equals_the_power_group_reference_across_10_k(rows,
+                                                               crossings):
+    rows = list(rows)
+    random.Random(len(rows)).shuffle(rows)
+    assembled = _assemble(rows)
+    assert assembled == assemble_by_power_groups(rows)
+    assert text_order_groups(assembled) == crossings
+    assert assembled == model._ordered(assembled.items)
+
+
+def test_assemble_equals_the_power_group_reference(logs):
+    groups = 0
+    for log in logs:
+        assembled = _assemble(rows_of(log))
+        assert assembled == assemble_by_power_groups(rows_of(log))
+        groups += text_order_groups(assembled)
+    assert groups > 10
+
+
+@pytest.mark.parametrize("fmt", ["csv", "xes"])
+def test_reads_sort_no_whole_log(logs, tmp_path, monkeypatch, fmt):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the read log was sorted whole")
+
+    paths = []
+    for index, log in enumerate(logs):
+        paths.append(tmp_path / f"log{index}.{fmt}")
+        write_log(log, None, paths[-1])
+    expected = [assemble_by_power_groups(rows_of(read_log(path)))
+                for path in paths]
+    monkeypatch.setattr(model, "_ordered", forbidden)
+    assert [read_log(path) for path in paths] == expected
 
 
 @pytest.mark.parametrize("fmt", ["csv", "xes"])

@@ -5,6 +5,8 @@ from sweeplog.model import (
     LAST_INSTANT,
     LogValidationError,
     WorkItem,
+    _ordered,
+    _resorted,
     segments_per_resource,
     validate_log,
 )
@@ -141,3 +143,41 @@ class TestSegmentsPerResource:
             assert sorted(i.id for i in segment.items) == sorted(
                 i.id for i in items
             )
+
+
+class TestResorted:
+    # The trace blocks c1, c2 and c3, each in log order.
+    ORDERED = [wi(1, 0, 5, trace="c1"), wi(2, 10, 15, trace="c1"),
+               wi(3, 20, 25, trace="c1"), wi(4, 5, 9, trace="c2"),
+               wi(5, 0, 1, trace="c3"), wi(6, 3, 4, trace="c3")]
+
+    def test_in_order_input_is_returned_unchanged(self):
+        log = _resorted(list(self.ORDERED), range(len(self.ORDERED)))
+        assert log.items == tuple(self.ORDERED)
+        assert log == _ordered(self.ORDERED)
+
+    def test_position_0_is_ignored(self):
+        # c1 is out of order, but only at position 1, which is not given:
+        # position 0 has no predecessor, not the list's last item.
+        items = [wi(2, 10, 15), wi(1, 0, 5), wi(3, 0, 1, trace="c2")]
+        assert _resorted(list(items), [0]).items == tuple(items)
+
+    def test_two_positions_in_one_block(self):
+        items = [wi(1, 0, 5), wi(2, 10, 15), wi(3, 5, 9), wi(4, 20, 25),
+                 wi(5, 12, 13), wi(6, 0, 1, trace="c2")]
+        assert _resorted(list(items), [2, 4]) == _ordered(items)
+
+    def test_fallen_blocks_at_the_start_and_the_end(self):
+        items = [wi(1, 12, 15), wi(2, 10, 15), wi(3, 20, 25),
+                 wi(4, 5, 9, trace="c2"),
+                 wi(5, 3, 4, trace="c3"), wi(6, 0, 1, trace="c3")]
+        log = _resorted(list(items), [1, 5])
+        assert log == _ordered(items)
+        assert [item.id for item in log.items] == [2, 1, 3, 4, 6, 5]
+
+    def test_a_predecessor_from_another_trace_is_no_fall(self):
+        # c2 starts below c1's last item; its own fall at position 2 is not
+        # given, so nothing is sorted.
+        items = [wi(1, 50, 55), wi(2, 20, 25, trace="c2"),
+                 wi(3, 0, 5, trace="c2")]
+        assert _resorted(list(items), [1]).items == tuple(items)
