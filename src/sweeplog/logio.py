@@ -24,7 +24,7 @@ from __future__ import annotations
 import csv
 import json
 import re
-from datetime import date, datetime, time, timedelta, timezone
+from datetime import datetime, timedelta, timezone
 from functools import lru_cache
 from itertools import groupby
 from operator import attrgetter
@@ -63,40 +63,30 @@ class LogFormatError(ValueError):
 # resource), so that a plain sort gives the canonical row order.
 _Row = tuple[str, int, int, str, str]
 
-# Python 3.11's fromisoformat grammar, of which 3.10's reads only a part:
-# basic or week dates, HH[[:]MM[[:]SS]] times, a "." or "," fraction of
-# any length after any time field, offsets of HH[[:]MM[[:]SS[.f]]].
+# The ISO 8601 that parse_timestamp reads: basic or week dates, times
+# HH[[:]MM[[:]SS]] to hour 23, a "." or "," fraction of any length after
+# any time field, offsets HH[[:]MM[[:]SS[.f]]].  fromisoformat converts
+# what it matches; alone it reads more (see _PLAIN_ISO).
 _ISO_8601 = re.compile(
-    r"(?P<y>\d{4})(?:(?P<ds>-?)(?P<mo>\d\d)(?P=ds)(?P<d>\d\d)"
-    r"|(?P<ws>-?)W(?P<w>\d\d)(?:(?P=ws)(?P<wd>\d))?)"
-    r"(?:\D(?P<H>\d\d)(?:(?P<ts>:?)(?P<M>\d\d)(?:(?P=ts)(?P<S>\d\d))?)?"
-    r"(?:[.,](?P<f>\d+)|[.,](?=[+-]))?"  # 3.11 allows "." before an offset
-    r"(?:(?P<sign>[+-])(?P<oH>\d\d)(?:(?P<os>:?)(?P<oM>\d\d)"
-    r"(?:(?P=os)(?P<oS>\d\d)(?:[.,](?P<of>\d+))?)?)?)?)?", re.ASCII)
+    r"\d{4}(?:(?P<ds>-?)\d\d(?P=ds)\d\d|(?P<ws>-?)W\d\d(?:(?P=ws)\d)?)"
+    r"(?:\D(?:[01]\d|2[0-3])(?:(?P<ts>:?)\d\d(?:(?P=ts)\d\d)?)?"
+    r"(?:[.,]\d+|[.,](?=[+-]))?"  # fromisoformat allows "." before an offset
+    r"(?:[+-]\d\d(?:(?P<os>:?)\d\d(?:(?P=os)\d\d(?:[.,]\d+)?)?)?)?)?",
+    re.ASCII)
 
 
 def _parse_iso_8601(text: str) -> datetime:
-    match = _ISO_8601.fullmatch(text)
-    if match is None:
+    if _ISO_8601.fullmatch(text) is None:
         raise ValueError(f"not ISO 8601: {text!r}")
-    # Fractions keep whole microseconds, as fromisoformat's do.
-    num = {key: int(value.ljust(6, "0")[:6] if key in ("f", "of") else value)
-           for key, value in match.groupdict("0").items() if value.isdigit()}
-    day = (date.fromisocalendar(num["y"], num["w"], int(match["wd"] or 1))
-           if match["w"] else date(num["y"], num["mo"], num["d"]))
-    offset = timedelta(hours=num["oH"], minutes=num["oM"], seconds=num["oS"],
-                       microseconds=num["of"])
-    zone = timezone(-offset if match["sign"] == "-" else offset)
-    return datetime.combine(day, time(num["H"], num["M"], num["S"], num["f"]),
-                            zone if match["sign"] else None)
+    return datetime.fromisoformat(text)
 
 
-# The shape fromisoformat reads as _parse_iso_8601 does on every version.
-# Elsewhere 3.11+ misreads: "T1234567+01:00" and "T12:34:567+01:00" as
-# 12:34:56, "T12345+01:00" as 12:34, and a "+01:00.5" offset fraction.
+# A part of _ISO_8601, checked faster.  Outside the grammar 3.11+ misreads:
+# "T1234567+01:00" and "T12:34:567+01:00" as 12:34:56, "T12345+01:00" as
+# 12:34, and a "+01:00.5" offset fraction.
 _PLAIN_ISO = re.compile(
-    r"\d{4}-\d\d-\d\d[T ]\d\d:\d\d:\d\d(?:[.,]\d+)?(?:[+-]\d\d:\d\d)?",
-    re.ASCII)
+    r"\d{4}-\d\d-\d\d[T ](?:[01]\d|2[0-3]):\d\d:\d\d(?:[.,]\d+)?"
+    r"(?:[+-]\d\d:\d\d)?", re.ASCII)
 
 
 def _parse_timestamp(text: str) -> int:
@@ -104,13 +94,8 @@ def _parse_timestamp(text: str) -> int:
     if cleaned.endswith(("Z", "z")):
         cleaned = cleaned[:-1] + "+00:00"
     try:
-        try:
-            if _PLAIN_ISO.fullmatch(cleaned) is None:
-                raise ValueError(cleaned)
-            moment = datetime.fromisoformat(cleaned)
-        except ValueError:
-            # Another shape, or one Python 3.10's fromisoformat cannot read.
-            moment = _parse_iso_8601(cleaned)
+        moment = (datetime.fromisoformat(cleaned)
+                  if _PLAIN_ISO.fullmatch(cleaned) else _parse_iso_8601(cleaned))
     except ValueError as exc:
         raise LogFormatError(f"unparseable timestamp {text!r}") from exc
     if moment.tzinfo is None:
@@ -199,7 +184,7 @@ def read_csv(path: PathLike) -> EventLog:
             return LogFormatError(f"{path}: line {reader.line_num}: {message}")
 
         rows: list[_Row] = []
-        try:  # csv.Error: a field over the size limit, or NUL on 3.10
+        try:  # csv.Error: a field over the size limit
             header = next(reader, None)
             if header is None:
                 raise LogFormatError(f"{path}: empty file, expected a header")
@@ -231,7 +216,7 @@ def read_csv(path: PathLike) -> EventLog:
 
 
 # writerow returns what its file's write returns, here the record itself.
-# Python 3.10-3.12 quote a field holding CR or LF only if the terminator
+# Python 3.11 and 3.12 quote a field holding CR or LF only if the terminator
 # holds it, so "\r\n" gives 3.13's quoting on every version.
 _CSV_RECORD = csv.writer(SimpleNamespace(write=str), lineterminator="\r\n")
 _QUOTED = re.compile(r'[,"\r\n]')  # what makes csv.writer quote a field

@@ -209,8 +209,9 @@ def _shares(cuts: Iterable[_Cut], ids: Iterator[int]) -> Iterator[AuxWorkItem]:
             yield AuxWorkItem(next(ids), start, end, wiid, portion)
 
 
-def _sweeps(log: EventLog) -> Iterator[tuple[str, list[_Bound], list[_Cut]]]:
-    # Per resource in name order: bounds and cuts of positive-duration items.
+def _sweeps(log: EventLog
+            ) -> Iterator[tuple[str, list[_Bound], Iterator[_Cut]]]:
+    # Per resource by name: bounds, and lazy cuts, of positive-duration items.
     swept: dict[str, list[WorkItem]] = {}
     for item in log.items:
         items = swept.setdefault(item.resource, [])
@@ -218,7 +219,7 @@ def _sweeps(log: EventLog) -> Iterator[tuple[str, list[_Bound], list[_Cut]]]:
             items.append(item)
     for resource in sorted(swept):
         bounds = _bounds(swept[resource])
-        yield resource, bounds, list(_cut(bounds))
+        yield resource, bounds, _cut(bounds)
 
 
 def _clocks(log: EventLog) -> dict[str, tuple[int, dict[Instant, int]]]:
@@ -279,7 +280,8 @@ def format_adjustment_table(log: EventLog) -> str:
     decimals.
     """
     lines: list[str] = []
-    for resource, bounds, cuts in _sweeps(log):
+    for resource, bounds, lazy_cuts in _sweeps(log):
+        cuts = list(lazy_cuts)  # walked twice below
         point_text = ", ".join(
             f"({time}, {wiid}, '{PLUS if plus else MINUS}')"
             for time, _, _, wiid, plus in bounds

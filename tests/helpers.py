@@ -27,7 +27,11 @@ that kept a ``deque`` per start and sorted the whole shifted log again,
 which a pointer per start and a sort of only the trace blocks that moved
 replaced.  ``assemble_by_power_groups`` is the read-side ``_assemble`` that
 sorted the ``(trace id, start)`` group of each id 10^k by id text, which
-``model._resorted`` replaced.
+``model._resorted`` replaced.  ``parse_iso_8601_by_groups`` is the
+ISO-8601 converter that built the ``date``, ``time`` and ``timezone`` from
+the grammar's groups, which ``datetime.fromisoformat`` replaced once Python
+3.11 became the oldest supported version; ``parse_timestamp_by_groups`` is
+``parse_timestamp`` on top of it.
 """
 
 from __future__ import annotations
@@ -35,10 +39,12 @@ from __future__ import annotations
 import csv
 import io
 import random
+import re
 import xml.etree.ElementTree as ET
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from collections import deque
+from datetime import date, datetime, time, timedelta, timezone
 from itertools import combinations
 from math import comb, fsum
 from operator import attrgetter
@@ -57,6 +63,8 @@ from sweeplog.logio import (
 )
 from sweeplog.metrics import MetricsReport, PairOverlap, SummaryCounts, overlap
 from sweeplog.model import (
+    FIRST_INSTANT,
+    LAST_INSTANT,
     EventLog,
     ResourceSegment,
     WorkItem,
@@ -821,3 +829,48 @@ def assemble_by_power_groups(rows) -> EventLog:
         items[lo:hi] = sorted(items[lo:hi], key=lambda w: _id_key(w.id))
         power *= 10
     return EventLog(tuple(items))
+
+
+# The grammar as it was when the converter below read its groups: it
+# matches hour 24, which time() then refuses.
+_ISO_8601_GROUPS = re.compile(
+    r"(?P<y>\d{4})(?:(?P<ds>-?)(?P<mo>\d\d)(?P=ds)(?P<d>\d\d)"
+    r"|(?P<ws>-?)W(?P<w>\d\d)(?:(?P=ws)(?P<wd>\d))?)"
+    r"(?:\D(?P<H>\d\d)(?:(?P<ts>:?)(?P<M>\d\d)(?:(?P=ts)(?P<S>\d\d))?)?"
+    r"(?:[.,](?P<f>\d+)|[.,](?=[+-]))?"
+    r"(?:(?P<sign>[+-])(?P<oH>\d\d)(?:(?P<os>:?)(?P<oM>\d\d)"
+    r"(?:(?P=os)(?P<oS>\d\d)(?:[.,](?P<of>\d+))?)?)?)?)?", re.ASCII)
+
+
+def parse_iso_8601_by_groups(text: str) -> datetime:
+    """``logio._parse_iso_8601`` building the instant from the grammar's
+    groups; raises ``ValueError`` on text outside the grammar."""
+    match = _ISO_8601_GROUPS.fullmatch(text)
+    if match is None:
+        raise ValueError(f"not ISO 8601: {text!r}")
+    # Fractions keep whole microseconds, as fromisoformat's do.
+    num = {key: int(value.ljust(6, "0")[:6] if key in ("f", "of") else value)
+           for key, value in match.groupdict("0").items() if value.isdigit()}
+    day = (date.fromisocalendar(num["y"], num["w"], int(match["wd"] or 1))
+           if match["w"] else date(num["y"], num["mo"], num["d"]))
+    offset = timedelta(hours=num["oH"], minutes=num["oM"], seconds=num["oS"],
+                       microseconds=num["of"])
+    zone = timezone(-offset if match["sign"] == "-" else offset)
+    return datetime.combine(day, time(num["H"], num["M"], num["S"], num["f"]),
+                            zone if match["sign"] else None)
+
+
+def parse_timestamp_by_groups(text: str) -> int:
+    """``parse_timestamp`` through ``parse_iso_8601_by_groups`` alone: epoch
+    ms rounded half-up, or ``ValueError`` (``LogFormatError`` is one)."""
+    cleaned = text.strip()
+    if cleaned.endswith(("Z", "z")):
+        cleaned = cleaned[:-1] + "+00:00"
+    moment = parse_iso_8601_by_groups(cleaned)
+    if moment.tzinfo is None:
+        moment = moment.replace(tzinfo=timezone.utc)
+    epoch = datetime(1970, 1, 1, tzinfo=timezone.utc)
+    ms = _round_half_up((moment - epoch) // timedelta(microseconds=1), 1_000)
+    if not FIRST_INSTANT <= ms <= LAST_INSTANT:
+        raise ValueError(f"timestamp {text!r} is outside years 1-9999 UTC")
+    return ms

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from sweeplog import cli, logio, model
 from sweeplog.cli import main, run
 from sweeplog.logio import (
+    format_timestamp,
     read_csv,
     read_log,
     read_xes,
@@ -122,6 +124,26 @@ class TestAux:
         assert captured.err == table + "\n"
         assert captured.out == ""
         assert debug.read_bytes() == plain.read_bytes()
+
+    def test_nested_log_in_bounded_memory(self, tmp_path):
+        # Item k spans [k, 2000 - k) s on one resource, so the cuts hold a
+        # million live ids in all; listing them peaked at 9.3 MB, streaming
+        # them at 1.1 MB (Python 3.11).
+        source, out = tmp_path / "nested.csv", tmp_path / "aux.csv"
+        source.write_text(
+            "case_id,activity,resource,start_timestamp,end_timestamp\n"
+            + "".join(f"c{k},T,R1,{format_timestamp(k * 1_000)},"
+                      f"{format_timestamp((2_000 - k) * 1_000)}\n"
+                      for k in range(1_000)), encoding="utf-8")
+        tracemalloc.start()
+        try:
+            assert run(["aux", "--in", str(source), "--out", str(out)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4_000_000
+        with out.open(newline="", encoding="utf-8") as handle:
+            assert sum(1 for _ in handle) == 1 + 1_000_000
 
 
 class TestMetrics:
@@ -366,6 +388,15 @@ class TestFaultsInTheInput:
             assert "9999-12-31T23:59:59.999+00:00" in text
         assert capsys.readouterr().err == ""
 
+    @pytest.mark.parametrize("content", [b"", b"\xef\xbb\xbf"],
+                             ids=["zero-bytes", "bom-only"])
+    def test_empty_file(self, tmp_path, capsys, content):
+        source = tmp_path / "empty.csv"
+        source.write_bytes(content)
+        assert run(["metrics", "--in", str(source)]) == 1
+        assert one_error_line(capsys) == (
+            f"sweeplog: error: {source}: empty file, expected a header")
+
     def test_field_over_the_csv_limit(self, tmp_path, capsys):
         # The limit is csv.field_size_limit(), 131,072 characters unless a
         # program sets it.
@@ -423,10 +454,31 @@ def test_checked_in_stamp_forms_are_the_four_task_log():
         data / "four_tasks.csv")
 
 
+def test_checked_in_iso_stamps_take_the_grammar_path():
+    # Basic and week dates, HHMM times, "," fractions, +0200, +00 and -0000
+    # offsets: no stamp is in the written form or in _PLAIN_ISO's shape, so
+    # each is read by _ISO_8601 and fromisoformat.  CI reads the file
+    # through the installed script on every Python version it runs.
+    data = Path(__file__).parent / "data"
+    with (data / "four_tasks.iso.csv").open(newline="",
+                                            encoding="utf-8") as handle:
+        rows = list(csv.reader(handle))
+    stamps = [stamp for row in rows[1:] for stamp in row[3:]]
+    assert len(set(stamps)) == 8
+    for stamp in stamps:
+        cleaned = stamp[:-1] + "+00:00" if stamp.endswith("Z") else stamp
+        assert stamp[23:] not in ("Z", "z", "+00:00"), stamp  # no lookup
+        assert logio._PLAIN_ISO.fullmatch(cleaned) is None, stamp
+        assert logio._ISO_8601.fullmatch(cleaned), stamp
+    assert read_csv(data / "four_tasks.iso.csv") == read_csv(
+        data / "four_tasks.csv")
+
+
 @pytest.mark.parametrize("command, source, golden", [
     ("adjust", "four_tasks.csv", "four_tasks.adjusted.csv"),
     ("adjust", "four_tasks.prom.xes", "four_tasks.adjusted.csv"),
     ("adjust", "four_tasks.stamps.csv", "four_tasks.adjusted.csv"),
+    ("adjust", "four_tasks.iso.csv", "four_tasks.adjusted.csv"),
     ("adjust", "thirds.csv", "thirds.adjusted.csv"),
     ("aux", "thirds.csv", "thirds.aux.csv"),
     # Names with a comma, a quote, LF, CR and CRLF, as Python 3.13 writes

@@ -24,7 +24,9 @@ no whole log.  ``write_csv`` is checked against the
 planner that built a ``Fraction`` per pair.  ``inject`` is checked against
 the injector that paired through a ``deque`` per start and sorted the whole
 shifted log again, and is kept from building a ``PlannedShift`` or calling
-``_ordered``.
+``_ordered``.  The ISO-8601 grammar with ``fromisoformat`` is checked
+against the converter that built each instant from the grammar's groups, on
+27,000 stamps that include the forms the C parser of Python 3.11+ misreads.
 """
 
 import csv
@@ -32,6 +34,8 @@ import importlib
 import io
 import random
 from dataclasses import replace
+from datetime import datetime
+from itertools import product
 from math import lcm
 
 import pytest
@@ -42,7 +46,9 @@ from sweeplog.inject import find_adjacent_pairs, inject, plan_shifts
 from sweeplog.logio import (
     LogFormatError,
     _assemble,
+    _parse_iso_8601,
     format_timestamp,
+    parse_timestamp,
     read_csv,
     read_log,
     read_xes,
@@ -88,6 +94,8 @@ from helpers import (
     mtri_overlapped_by_double_loop,
     mtwii_by_double_loop,
     overlapped_pairs_by_combinations,
+    parse_iso_8601_by_groups,
+    parse_timestamp_by_groups,
     plan_shifts_by_fractions,
     random_segment_items,
     read_xes_iterparse,
@@ -815,3 +823,49 @@ def test_inject_builds_no_planned_shift_and_sorts_no_whole_log(
     injected = [inject(log, 0.3) for log in logs]
     assert injected == expected
     assert sum(map(reordered, logs, injected)) > 0
+
+
+# 12 dates x 15 times x 10 fractions x 15 offsets: valid and invalid
+# calendar and week dates, every time shape, hour 24, a non-ASCII
+# separator, and with "2021-01-01" and "+01:00" or "+01:00.5" the four
+# forms that 3.11+'s fromisoformat misreads (T1234567, T12:34:567, T12345
+# and a fraction on an HH:MM offset).
+STAMP_DATES = ("2021-01-01", "20210101", "2021-W01", "2021W015", "2020-W53-7",
+               "2021-W53-1", "2021-W01-0", "2021-0101", "2021W01-5",
+               "2021-02-30", "2024-02-29", "0001-01-01")
+STAMP_TIMES = ("", " 08", "T0815", "T08:15", "T081530", "T08:15:30",
+               "T08:1530", "T24:00", "T24:00:00", "T12345", "T1234567",
+               "T12:34:567", "T12:34:56", "T23:59:59", "\u00e90815")
+STAMP_FRACTIONS = ("", ".5", ",5", ".1234567", ".", ".1x", ".0004999",
+                   ".9999995", ",000", ".0015")
+STAMP_OFFSETS = ("", "+00:00", "+01", "-0530", "+01:00:30.5", "+010030,25",
+                 "+1", "+24:00", "+01:00.5", "+01:00", "Z", "z", "-00:00",
+                 "+0100.5", "-23:59:59.999999")
+
+
+def outcome(parse, text):
+    """What ``parse`` makes of ``text``: the value and, for an instant, its
+    UTC offset, or ``ValueError`` (``LogFormatError`` is one)."""
+    try:
+        value = parse(text)
+    except ValueError:
+        return ValueError
+    offset = value.utcoffset() if isinstance(value, datetime) else None
+    return value, offset
+
+
+def test_iso_8601_grammar_with_fromisoformat_equals_the_group_converter():
+    stamps = ["".join(parts) for parts in product(
+        STAMP_DATES, STAMP_TIMES, STAMP_FRACTIONS, STAMP_OFFSETS)]
+    assert len(set(stamps)) == 27_000
+    for misread in ("2021-01-01T1234567+01:00", "2021-01-01T12:34:567+01:00",
+                    "2021-01-01T12345+01:00", "2021-01-01T12:34:56+01:00.5"):
+        assert misread in stamps
+    read = 0
+    for text in stamps:
+        expected = outcome(parse_iso_8601_by_groups, text)
+        assert outcome(_parse_iso_8601, text) == expected, text
+        ms = outcome(parse_timestamp_by_groups, text)
+        assert outcome(parse_timestamp, text) == ms, text
+        read += ms is not ValueError
+    assert read > 2_000  # the corpus is not all refusals

@@ -396,6 +396,15 @@ class TestReadCsv:
         path.write_text(",".join(CSV_COLUMNS) + "\n", encoding="utf-8")
         assert len(read_csv(path)) == 0
 
+    @pytest.mark.parametrize("content", [b"", b"\xef\xbb\xbf"],
+                             ids=["zero-bytes", "bom-only"])
+    def test_empty_file_expects_a_header(self, tmp_path, content):
+        path = tmp_path / "empty.csv"
+        path.write_bytes(content)
+        with pytest.raises(LogFormatError) as caught:
+            read_csv(path)
+        assert str(caught.value) == f"{path}: empty file, expected a header"
+
     def test_header_case_insensitive(self, tmp_path):
         path = tmp_path / "caps.csv"
         path.write_text(
