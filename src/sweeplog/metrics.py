@@ -17,18 +17,20 @@ computed only between items of the same resource.  From it:
   defined.  How intense multitasking is where it occurs.
 
 Pairs that do not overlap add 0, so every index and count comes from one
-start-order sweep over overlapped pairs: O(n log n + overlapped pairs)
-per resource.  One pair generator serves ``summarize`` and
-``overlapped_pairs``; ``summarize`` builds no object per pair.
+start-order sweep per resource that builds nothing per pair, in
+O(n log n + overlapped pairs) time and O(live) memory.
+``overlapped_pairs``, whose output is the pairs, has its own generator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, fsum
-from typing import Iterator, Mapping, Optional
+from itertools import chain
+from math import comb, fsum, inf
+from operator import attrgetter
+from typing import Iterator, Mapping, Optional, Sequence
 
-from .model import EventLog, ResourceSegment, WorkItem, segments_per_resource
+from .model import EventLog, ResourceSegment, WorkItem
 
 
 @dataclass(frozen=True)
@@ -117,24 +119,50 @@ def overlapped_pairs(segment: ResourceSegment) -> list[PairOverlap]:
     return [PairOverlap(a.id, b.id, ratio) for a, b, ratio in _pairs(segment)]
 
 
-def _pair_means(
-    segment: ResourceSegment, ratios: list[float]
-) -> tuple[float, Optional[float]]:
-    """(MTRI, MTRI_overlapped) of a segment from its overlapped pairs."""
-    if not ratios:
-        return 0.0, None
-    total = fsum(ratios)
-    return total / comb(len(segment), 2), total / len(ratios)
+def _means(items: Sequence[WorkItem],
+           overlapped: dict) -> tuple[float, Optional[float], int]:
+    """(MTRI, MTRI_overlapped, overlapped pairs) of one resource's items in
+    start order.  An item is overlapped, and goes into ``overlapped``, when
+    ``reach``, the latest end before it, passes its start or its end passes
+    the next start."""
+    pairs = 0
+
+    def ratio_lists() -> Iterator[list[float]]:
+        nonlocal pairs
+        live, reach, previous = [], -inf, None  # live: (end, duration)
+        for item in items:
+            start, end = item.start, item.end
+            if end == start:
+                continue
+            duration = end - start
+            if start < reach:
+                live = [other for other in live if other[0] > start]
+                pairs += len(live)
+                yield [((e if e < end else end) - start)
+                       / (d if d > duration else duration) for e, d in live]
+                overlapped[item.id] = item.activity
+                if previous.end > start:
+                    overlapped[previous.id] = previous.activity
+                live.append((end, duration))
+                reach = end if end > reach else reach
+            else:
+                live, reach = [(end, duration)], end
+            previous = item
+
+    total = fsum(chain.from_iterable(ratio_lists()))
+    if not pairs:
+        return 0.0, None, 0
+    return total / comb(len(items), 2), total / pairs, pairs
 
 
 def mtri(segment: ResourceSegment) -> float:
     """Mean overlap over every unordered pair; 0 with fewer than two items."""
-    return _pair_means(segment, [r for _, _, r in _pairs(segment)])[0]
+    return _means(segment.items, {})[0]
 
 
 def mtri_overlapped(segment: ResourceSegment) -> Optional[float]:
     """Mean overlap over the overlapped pairs only; None when there are none."""
-    return _pair_means(segment, [r for _, _, r in _pairs(segment)])[1]
+    return _means(segment.items, {})[1]
 
 
 def mtli(log: EventLog) -> float:
@@ -157,34 +185,26 @@ def summarize(log: EventLog) -> MetricsReport:
     mtri_over: dict[str, float] = {}
     overlapped: dict[object, str] = {}  # item id -> activity
     total_pairs = 0
-
-    for segment in segments_per_resource(log):
-        ratios = []
-        for earlier, later, ratio in _pairs(segment):
-            ratios.append(ratio)
-            overlapped[earlier.id] = earlier.activity
-            overlapped[later.id] = later.activity
-        mtri_all[segment.resource], restricted = _pair_means(segment, ratios)
+    groups: dict[str, list[WorkItem]] = {}
+    for item in log.items:
+        groups.setdefault(item.resource, []).append(item)
+    for resource in sorted(groups):
+        items = sorted(groups[resource], key=attrgetter("start"))
+        mtri_all[resource], restricted, pairs = _means(items, overlapped)
+        total_pairs += pairs
         if restricted is not None:
-            total_pairs += len(ratios)
-            mtri_over[segment.resource] = restricted
+            mtri_over[resource] = restricted
 
-    mtli_value = fsum(mtri_all.values()) / len(mtri_all) if mtri_all else 0.0
-    mtwii_defined = bool(mtri_over)
-    mtwii_value = (
-        fsum(mtri_over.values()) / len(mtri_over) if mtwii_defined else 0.0
-    )
-    counts = SummaryCounts(
-        tasks_multitasked=len(set(overlapped.values())),
-        events_overlapped=len(overlapped),
-        resources_multitasking=len(mtri_over),
-        pairs_overlapped=total_pairs,
-    )
     return MetricsReport(
-        mtli=mtli_value,
-        mtwii=mtwii_value,
-        mtwii_defined=mtwii_defined,
+        mtli=fsum(mtri_all.values()) / len(mtri_all) if mtri_all else 0.0,
+        mtwii=fsum(mtri_over.values()) / len(mtri_over) if mtri_over else 0.0,
+        mtwii_defined=bool(mtri_over),
         mtri_all=mtri_all,
         mtri_overlapped=mtri_over,
-        counts=counts,
+        counts=SummaryCounts(
+            tasks_multitasked=len(set(overlapped.values())),
+            events_overlapped=len(overlapped),
+            resources_multitasking=len(mtri_over),
+            pairs_overlapped=total_pairs,
+        ),
     )

@@ -31,7 +31,11 @@ sorted the ``(trace id, start)`` group of each id 10^k by id text, which
 ISO-8601 converter that built the ``date``, ``time`` and ``timezone`` from
 the grammar's groups, which ``datetime.fromisoformat`` replaced once Python
 3.11 became the oldest supported version; ``parse_timestamp_by_groups`` is
-``parse_timestamp`` on top of it.
+``parse_timestamp`` on top of it.  ``summarize_by_pair_sweep`` is the
+``summarize`` that walked ``metrics._pairs`` over ``segments_per_resource``,
+held a resource's ratios in one list and wrote two ids per pair, which one
+flat sweep per resource that streams each item's ratios to ``fsum``
+replaced.
 """
 
 from __future__ import annotations
@@ -61,7 +65,13 @@ from sweeplog.logio import (
     format_timestamp,
     parse_timestamp,
 )
-from sweeplog.metrics import MetricsReport, PairOverlap, SummaryCounts, overlap
+from sweeplog.metrics import (
+    MetricsReport,
+    PairOverlap,
+    SummaryCounts,
+    _pairs,
+    overlap,
+)
 from sweeplog.model import (
     FIRST_INSTANT,
     LAST_INSTANT,
@@ -617,6 +627,45 @@ def summarize_by_pair_objects(log: EventLog) -> MetricsReport:
         counts=SummaryCounts(
             tasks_multitasked=len(multitasked_activities),
             events_overlapped=len(overlapped_items),
+            resources_multitasking=len(mtri_over),
+            pairs_overlapped=total_pairs,
+        ),
+    )
+
+
+def summarize_by_pair_sweep(log: EventLog) -> MetricsReport:
+    """Every index and count from the pairs of ``metrics._pairs``, a list of
+    ratios per resource and both ids of each pair written to a dict."""
+    mtri_all: dict[str, float] = {}
+    mtri_over: dict[str, float] = {}
+    overlapped: dict[object, str] = {}  # item id -> activity
+    total_pairs = 0
+
+    for segment in segments_per_resource(log):
+        ratios = []
+        for earlier, later, ratio in _pairs(segment):
+            ratios.append(ratio)
+            overlapped[earlier.id] = earlier.activity
+            overlapped[later.id] = later.activity
+        if not ratios:
+            mtri_all[segment.resource] = 0.0
+            continue
+        total = fsum(ratios)
+        mtri_all[segment.resource] = total / comb(len(segment), 2)
+        mtri_over[segment.resource] = total / len(ratios)
+        total_pairs += len(ratios)
+
+    mtwii_defined = bool(mtri_over)
+    return MetricsReport(
+        mtli=fsum(mtri_all.values()) / len(mtri_all) if mtri_all else 0.0,
+        mtwii=(fsum(mtri_over.values()) / len(mtri_over)
+               if mtwii_defined else 0.0),
+        mtwii_defined=mtwii_defined,
+        mtri_all=mtri_all,
+        mtri_overlapped=mtri_over,
+        counts=SummaryCounts(
+            tasks_multitasked=len(set(overlapped.values())),
+            events_overlapped=len(overlapped),
             resources_multitasking=len(mtri_over),
             pairs_overlapped=total_pairs,
         ),

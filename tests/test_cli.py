@@ -513,6 +513,18 @@ def test_outputs_match_the_checked_in_golden_files(tmp_path, capsys, command,
     assert written == (data / golden).read_bytes()
 
 
+@pytest.mark.parametrize("name", ["four_tasks", "thirds", "ties"])
+def test_reports_match_the_checked_in_golden_files(tmp_path, name):
+    # CI compares the installed script's report with the same files.  In
+    # ties.csv items share starts and ends, instants sit on other items'
+    # bounds, items nest and touch, on two resources.
+    data = Path(__file__).parent / "data"
+    out = tmp_path / "report.json"
+    assert run(["metrics", "--in", str(data / f"{name}.csv"),
+                "--report", str(out)]) == 0
+    assert out.read_bytes() == (data / f"{name}.report.json").read_bytes()
+
+
 def test_carriage_return_in_an_xes_name_is_quoted_in_csv(tmp_path, capsys):
     source = tmp_path / "in.xes"
     source.write_text(

@@ -12,9 +12,12 @@ check the integer clock where its scale D grows to hundreds of bits.
 The callback XES reader is checked against the whole-tree and the
 ``iterparse`` readers it replaced, on these logs written as XES and on
 hand-written documents, well-formed or faulty.
-``summarize`` is checked against the ``PairOverlap``-based one it
-replaced, and the ``aux`` file against one ``writerow`` per share, byte
-for byte, on logs whose names need CSV quoting.  The id sweep's points,
+``summarize`` is checked against the ``PairOverlap``-based one and the
+``_pairs``-based one it replaced, exactly, on these logs, the crowded logs
+and tie-heavy logs on a small grid of instants, and is kept from calling
+``_pairs``, ``segments_per_resource``, ``min`` or ``max``; the ``aux``
+file is checked against one ``writerow`` per share, byte for byte, on logs
+whose names need CSV quoting.  The id sweep's points,
 intervals, shares, ``aux`` file and debug table are checked against the
 object sweep it replaced, and the readers' one sort against the order
 ``validate_log`` gives and against the re-sort of each id 10^k's
@@ -102,6 +105,7 @@ from helpers import (
     read_xes_tree,
     shares_by_resource,
     summarize_by_pair_objects,
+    summarize_by_pair_sweep,
     swept_by_objects,
     time_points_by_objects,
     wi,
@@ -152,6 +156,51 @@ def crowded_logs():
     return logs + [make_log(crowded_items(rng, 240))]
 
 
+def tie_spans(rng):
+    """One resource's spans on a small grid of instants: each new span
+    shares a start or an end with an earlier one, is an instant on its
+    bounds, nests in it, repeats it or starts where it ends.  Some
+    resources hold one item, or instantaneous items only."""
+    roll = rng.random()
+    if roll < 0.1:
+        start = rng.randint(0, 12)
+        return [(start, start + rng.randint(0, 3))]
+    if roll < 0.2:
+        return [(t, t) for t in rng.choices(range(13), k=rng.randint(1, 6))]
+    spans = [(start := rng.randint(0, 6), start + rng.randint(1, 6))]
+    for _ in range(rng.randint(1, 30)):
+        start, end = rng.choice(spans)
+        move = rng.randrange(6)
+        if move == 0:
+            spans.append((start, start + rng.randint(0, 6)))
+        elif move == 1:
+            spans.append((max(end - rng.randint(0, 6), 0), end))
+        elif move == 2:
+            spans.append((instant := rng.choice((start, end)), instant))
+        elif move == 3:
+            inner = rng.randint(start, end)
+            spans.append((inner, rng.randint(inner, end)))
+        elif move == 4:
+            spans.append((start, end))
+        else:
+            spans.append((end, end + rng.randint(1, 6)))
+    return spans
+
+
+@pytest.fixture(scope="module")
+def tie_logs():
+    rng = random.Random(17_760_704)
+    return [
+        make_log([
+            wi(f"{resource}-{seq}", start, end, resource=f"R{resource}",
+               activity=f"act-{seq % 4}", trace=f"t{seq % 3}")
+            for resource in range(rng.randint(1, 4))
+            for seq, (start, end) in enumerate(tie_spans(rng))
+        ])
+        for _ in range(LOGS)
+    ]
+
+
 def live_counts(log):
     return [
         {len(interval.active_ids) for interval in intervals}
@@ -185,8 +234,8 @@ def test_overlapped_pairs_match_all_pairs(logs):
             assert set(actual) == set(expected)
 
 
-def test_per_resource_indexes_match_double_loop(logs):
-    for log in logs:
+def test_per_resource_indexes_match_double_loop(logs, tie_logs):
+    for log in logs + tie_logs:
         for segment in segments_per_resource(log):
             items = list(segment.items)
             assert close(mtri(segment), mtri_by_double_loop(items))
@@ -242,6 +291,52 @@ def test_summarize_equals_the_pair_object_reference(logs, crowded_logs):
     # fsum is correctly rounded, so the order of the ratios cannot matter.
     for log in logs + crowded_logs:
         assert summarize(log) == summarize_by_pair_objects(log)
+
+
+def test_tie_corpus_has_the_tie_shapes(tie_logs):
+    segments = [s for log in tie_logs for s in segments_per_resource(log)]
+    assert any(len(s) == 1 for s in segments)
+    assert any(all(it.start == it.end for it in s.items) for s in segments)
+    for bound in ("start", "end"):
+        assert any(
+            len({getattr(it, bound) for it in s.items if it.end > it.start})
+            < sum(1 for it in s.items if it.end > it.start)
+            for s in segments)
+    assert any(
+        instant.start == instant.end and any(
+            other.end > other.start and instant.start in (other.start, other.end)
+            for other in s.items)
+        for s in segments for instant in s.items)
+    assert any(
+        a.start < b.start and b.end < a.end
+        for s in segments for a in s.items for b in s.items)
+    assert any(
+        a.end == b.start and a.start < a.end and b.start < b.end
+        for s in segments for a in s.items for b in s.items)
+
+
+def test_summarize_equals_the_pair_sweep_reference(logs, crowded_logs,
+                                                   tie_logs):
+    # fsum is correctly rounded, so neither the order of the ratios nor
+    # streaming them can change a bit.
+    for log in logs + crowded_logs + tie_logs:
+        assert summarize(log) == summarize_by_pair_sweep(log)
+
+
+def test_summarize_walks_no_pair_and_no_segment(logs, crowded_logs, tie_logs,
+                                                monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("summarize took the per-pair path")
+
+    chosen = logs[:50] + crowded_logs[-2:] + tie_logs[:50]
+    expected = [summarize_by_pair_sweep(log) for log in chosen]
+    monkeypatch.setattr(metrics, "_pairs", forbidden)
+    monkeypatch.setattr(model, "segments_per_resource", forbidden)
+    # Module globals shadow the builtins: no min or max call per pair.
+    monkeypatch.setattr(metrics, "min", forbidden, raising=False)
+    monkeypatch.setattr(metrics, "max", forbidden, raising=False)
+    assert [summarize(log) for log in chosen] == expected
+    assert sum(report.counts.pairs_overlapped for report in expected) > 0
 
 
 def test_summarize_builds_no_pair_object(logs, crowded_logs, monkeypatch):

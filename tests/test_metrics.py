@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -265,6 +266,20 @@ class TestSummarize:
                 if min(a.end, b.end) - max(a.start, b.start) > 0
             )
             assert report.counts.pairs_overlapped == direct
+
+    def test_nested_log_in_bounded_memory(self):
+        # Item k spans [k, 4000 - k) on one resource, so all 1,999,000
+        # pairs overlap; a list of a resource's ratios peaked at 65 MB,
+        # each item's ratios streamed to fsum at 0.3 MB (Python 3.11).
+        log = make_log([wi(k, k, 4_000 - k) for k in range(2_000)])
+        tracemalloc.start()
+        try:
+            report = summarize(log)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4_000_000
+        assert report.counts.pairs_overlapped == 1_999_000
 
     def test_overlapped_pairs_listing(self):
         pairs = overlapped_pairs(four_task_segment())
