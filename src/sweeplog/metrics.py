@@ -18,8 +18,8 @@ computed only between items of the same resource.  From it:
 
 Pairs that do not overlap add 0, so every index and count comes from one
 start-order sweep per resource that builds nothing per pair, in
-O(n log n + overlapped pairs) time and O(live) memory.
-``overlapped_pairs``, whose output is the pairs, has its own generator.
+O(n log n + overlapped pairs) time and O(live) memory.  That walk,
+``_overlaps``, also gives ``overlapped_pairs`` its pairs.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from math import comb, fsum, inf
 from operator import attrgetter
 from typing import Iterator, Mapping, Optional, Sequence
 
-from .model import EventLog, ResourceSegment, WorkItem
+from .model import EventLog, ResourceSegment, WorkItem, _by_resource
 
 
 @dataclass(frozen=True)
@@ -94,24 +94,34 @@ def overlap(a: WorkItem, b: WorkItem) -> float:
     return shared / longest
 
 
-def _pairs(
-    segment: ResourceSegment,
-) -> Iterator[tuple[WorkItem, WorkItem, float]]:
-    """Each overlapped pair as (earlier, later, overlap ratio), in start order.
-
-    Each positive-duration item pairs only with the items live at its start,
-    so the intersection begins at that start.
-    """
-    live: list[WorkItem] = []
-    for item in segment.items:
+def _overlaps(items: Sequence[WorkItem]
+              ) -> Iterator[tuple[WorkItem, WorkItem, list]]:
+    """Walk start-ordered items, instants skipped, and yield (item,
+    predecessor, live) for each that starts before an earlier one ends.
+    ``live``, the (end, duration, item) of each earlier item live at its
+    start, is valid only until the walk resumes, as it appends to it."""
+    live, reach, previous = [], -inf, None  # reach: the latest end so far
+    for item in items:
         start, end = item.start, item.end
         if end == start:
             continue
-        live = [other for other in live if other.end > start]
-        for other in live:
-            yield other, item, ((min(other.end, end) - start)
-                                / max(other.end - other.start, end - start))
-        live.append(item)
+        if start < reach:
+            live = [other for other in live if other[0] > start]
+            yield item, previous, live
+            live.append((end, end - start, item))
+            reach = end if end > reach else reach
+        else:
+            live, reach = [(end, end - start, item)], end
+        previous = item
+
+
+def _pairs(
+    segment: ResourceSegment,
+) -> Iterator[tuple[WorkItem, WorkItem, float]]:
+    """Each overlapped pair as (earlier, later, overlap ratio), in start order."""
+    for item, _, live in _overlaps(segment.items):
+        for _, _, other in live:
+            yield other, item, overlap(other, item)
 
 
 def overlapped_pairs(segment: ResourceSegment) -> list[PairOverlap]:
@@ -123,31 +133,20 @@ def _means(items: Sequence[WorkItem],
            overlapped: dict) -> tuple[float, Optional[float], int]:
     """(MTRI, MTRI_overlapped, overlapped pairs) of one resource's items in
     start order.  An item is overlapped, and goes into ``overlapped``, when
-    ``reach``, the latest end before it, passes its start or its end passes
-    the next start."""
+    ``_overlaps`` yields it or its end passes the next start."""
     pairs = 0
 
     def ratio_lists() -> Iterator[list[float]]:
         nonlocal pairs
-        live, reach, previous = [], -inf, None  # live: (end, duration)
-        for item in items:
+        for item, previous, live in _overlaps(items):
             start, end = item.start, item.end
-            if end == start:
-                continue
             duration = end - start
-            if start < reach:
-                live = [other for other in live if other[0] > start]
-                pairs += len(live)
-                yield [((e if e < end else end) - start)
-                       / (d if d > duration else duration) for e, d in live]
-                overlapped[item.id] = item.activity
-                if previous.end > start:
-                    overlapped[previous.id] = previous.activity
-                live.append((end, duration))
-                reach = end if end > reach else reach
-            else:
-                live, reach = [(end, duration)], end
-            previous = item
+            pairs += len(live)
+            yield [((e if e < end else end) - start)
+                   / (d if d > duration else duration) for e, d, _ in live]
+            overlapped[item.id] = item.activity
+            if previous.end > start:
+                overlapped[previous.id] = previous.activity
 
     total = fsum(chain.from_iterable(ratio_lists()))
     if not pairs:
@@ -185,11 +184,8 @@ def summarize(log: EventLog) -> MetricsReport:
     mtri_over: dict[str, float] = {}
     overlapped: dict[object, str] = {}  # item id -> activity
     total_pairs = 0
-    groups: dict[str, list[WorkItem]] = {}
-    for item in log.items:
-        groups.setdefault(item.resource, []).append(item)
-    for resource in sorted(groups):
-        items = sorted(groups[resource], key=attrgetter("start"))
+    for resource, group in _by_resource(log.items).items():
+        items = sorted(group, key=attrgetter("start"))
         mtri_all[resource], restricted, pairs = _means(items, overlapped)
         total_pairs += pairs
         if restricted is not None:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from operator import attrgetter
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Callable, Iterable, Iterator, Mapping, Union
 
 WorkItemId = Union[int, str]
 
@@ -47,9 +47,8 @@ def round_half_up_ms(value: Fraction) -> int:
     return _round_half_up(value.numerator, value.denominator)
 
 
-def _id_key(item_id: WorkItemId) -> str:
-    # ids may be ints or strings; compare lexicographically for a total order
-    return str(item_id)
+# ids may be ints or strings; compare them as text for a total order.
+_id_key: Callable[[WorkItemId], str] = str
 
 
 @dataclass(frozen=True)
@@ -182,12 +181,16 @@ def segments_per_resource(log: EventLog) -> list[ResourceSegment]:
     sorted by resource name and their items by (start, end, id).  Ids
     compare as text, so id 10 sorts before 9.
     """
-    grouped: dict[str, list[WorkItem]] = {}
-    for item in log.items:
-        grouped.setdefault(item.resource, []).append(item)
     segments = []
-    for resource in sorted(grouped):
-        ordered = sorted(grouped[resource],
-                         key=lambda w: (w.start, w.end, _id_key(w.id)))
+    for resource, items in _by_resource(log.items).items():
+        ordered = sorted(items, key=lambda w: (w.start, w.end, _id_key(w.id)))
         segments.append(ResourceSegment(resource=resource, items=tuple(ordered)))
     return segments
+
+
+def _by_resource(items: Iterable[WorkItem]) -> dict[str, list[WorkItem]]:
+    # Each resource's items in the order given, resources in name order.
+    grouped: dict[str, list[WorkItem]] = {}
+    for item in items:
+        grouped.setdefault(item.resource, []).append(item)
+    return {resource: grouped[resource] for resource in sorted(grouped)}

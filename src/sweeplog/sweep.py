@@ -29,6 +29,8 @@ from .model import (
     ResourceSegment,
     WorkItem,
     WorkItemId,
+    _by_resource,
+    _id_key,
     _round_half_up,
 )
 
@@ -170,18 +172,18 @@ def build_aux_items(
     return list(_shares(cuts, count(first_id)))
 
 
-# The id sweep.  A bound is (time, rank, str(id), id, is_plus), a cut is
+# The id sweep.  A bound is (time, rank, id text, id, is_plus), a cut is
 # (start, end, live ids): ActiveInterval's fields.
 _Bound = tuple[Instant, bool, str, WorkItemId, bool]
 _Cut = tuple[Instant, Instant, tuple[WorkItemId, ...]]
 
 
 def _bounds(items: Iterable[WorkItem]) -> list[_Bound]:
-    # build_time_points' order.  (time, rank, str(id)) is unique, so the id
+    # build_time_points' order.  (time, rank, id text) is unique, so the id
     # and the flag are never compared.
     bounds: list[_Bound] = []
     for item in items:
-        key, instant = str(item.id), item.start == item.end
+        key, instant = _id_key(item.id), item.start == item.end
         bounds.append((item.start, not instant, key, item.id, True))
         bounds.append((item.end, instant, key, item.id, False))
     bounds.sort()
@@ -212,13 +214,8 @@ def _shares(cuts: Iterable[_Cut], ids: Iterator[int]) -> Iterator[AuxWorkItem]:
 def _sweeps(log: EventLog
             ) -> Iterator[tuple[str, list[_Bound], Iterator[_Cut]]]:
     # Per resource by name: bounds, and lazy cuts, of positive-duration items.
-    swept: dict[str, list[WorkItem]] = {}
-    for item in log.items:
-        items = swept.setdefault(item.resource, [])
-        if item.end > item.start:
-            items.append(item)
-    for resource in sorted(swept):
-        bounds = _bounds(swept[resource])
+    for resource, items in _by_resource(log.items).items():
+        bounds = _bounds(item for item in items if item.end > item.start)
         yield resource, bounds, _cut(bounds)
 
 
@@ -291,9 +288,9 @@ def format_adjustment_table(log: EventLog) -> str:
             for start, end, live in cuts
         )
         share_text = ", ".join(
-            f"({start}, {end}, '{wiid}', "
-            f"{_format_number(Fraction(end - start, len(live)))})"
-            for start, end, live in cuts for wiid in live
+            f"({share.start}, {share.end}, '{share.parent_id}', "
+            f"{_format_number(share.duration)})"
+            for share in _shares(cuts, count())
         )
         lines.append(f"resource {resource}")
         lines.append(f"  points    = {{{point_text}}}")

@@ -32,10 +32,11 @@ ISO-8601 converter that built the ``date``, ``time`` and ``timezone`` from
 the grammar's groups, which ``datetime.fromisoformat`` replaced once Python
 3.11 became the oldest supported version; ``parse_timestamp_by_groups`` is
 ``parse_timestamp`` on top of it.  ``summarize_by_pair_sweep`` is the
-``summarize`` that walked ``metrics._pairs`` over ``segments_per_resource``,
-held a resource's ratios in one list and wrote two ids per pair, which one
-flat sweep per resource that streams each item's ratios to ``fsum``
-replaced.
+``summarize`` that walked the pairs over ``segments_per_resource``, held a
+resource's ratios in one list and wrote two ids per pair, which one flat
+sweep per resource that streams each item's ratios to ``fsum`` replaced.
+``pairs_by_live_items`` is the pair generator it walked: ``metrics._pairs``
+before ``_pairs`` became a view of ``metrics._overlaps``, the indexes' walk.
 """
 
 from __future__ import annotations
@@ -69,7 +70,6 @@ from sweeplog.metrics import (
     MetricsReport,
     PairOverlap,
     SummaryCounts,
-    _pairs,
     overlap,
 )
 from sweeplog.model import (
@@ -633,9 +633,27 @@ def summarize_by_pair_objects(log: EventLog) -> MetricsReport:
     )
 
 
+def pairs_by_live_items(segment):
+    """Each overlapped pair as (earlier, later, overlap ratio), in start order.
+
+    Each positive-duration item pairs only with the items live at its start,
+    so the intersection begins at that start.
+    """
+    live: list[WorkItem] = []
+    for item in segment.items:
+        start, end = item.start, item.end
+        if end == start:
+            continue
+        live = [other for other in live if other.end > start]
+        for other in live:
+            yield other, item, ((min(other.end, end) - start)
+                                / max(other.end - other.start, end - start))
+        live.append(item)
+
+
 def summarize_by_pair_sweep(log: EventLog) -> MetricsReport:
-    """Every index and count from the pairs of ``metrics._pairs``, a list of
-    ratios per resource and both ids of each pair written to a dict."""
+    """Every index and count from the pairs of ``pairs_by_live_items``, a list
+    of ratios per resource and both ids of each pair written to a dict."""
     mtri_all: dict[str, float] = {}
     mtri_over: dict[str, float] = {}
     overlapped: dict[object, str] = {}  # item id -> activity
@@ -643,7 +661,7 @@ def summarize_by_pair_sweep(log: EventLog) -> MetricsReport:
 
     for segment in segments_per_resource(log):
         ratios = []
-        for earlier, later, ratio in _pairs(segment):
+        for earlier, later, ratio in pairs_by_live_items(segment):
             ratios.append(ratio)
             overlapped[earlier.id] = earlier.activity
             overlapped[later.id] = later.activity

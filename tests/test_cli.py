@@ -491,13 +491,17 @@ def test_checked_in_iso_stamps_take_the_grammar_path():
     # Adjacent pairs across traces on two resources, ids past 9, and a
     # shifted item that passes its trace predecessor.
     ("inject --shift 0.3", "chain.csv", "chain.injected.csv"),
+    # Instants on other items' bounds on both resources: they get no share.
+    ("aux", "ties.csv", "ties.aux.csv"),
     # The sweep's state, which --debug-table writes to stderr.
     ("adjust --debug-table", "four_tasks.csv", "four_tasks.debug.txt"),
     ("adjust --debug-table", "thirds.csv", "thirds.debug.txt"),
     ("adjust --debug-table", "quoted.csv", "quoted.debug.txt"),
+    ("adjust --debug-table", "ties.csv", "ties.debug.txt"),
     ("aux --debug-table", "four_tasks.csv", "four_tasks.debug.txt"),
     ("aux --debug-table", "thirds.csv", "thirds.debug.txt"),
     ("aux --debug-table", "quoted.csv", "quoted.debug.txt"),
+    ("aux --debug-table", "ties.csv", "ties.debug.txt"),
 ])
 def test_outputs_match_the_checked_in_golden_files(tmp_path, capsys, command,
                                                    source, golden):

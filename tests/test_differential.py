@@ -13,9 +13,11 @@ The callback XES reader is checked against the whole-tree and the
 ``iterparse`` readers it replaced, on these logs written as XES and on
 hand-written documents, well-formed or faulty.
 ``summarize`` is checked against the ``PairOverlap``-based one and the
-``_pairs``-based one it replaced, exactly, on these logs, the crowded logs
+pair-list one it replaced, exactly, on these logs, the crowded logs
 and tie-heavy logs on a small grid of instants, and is kept from calling
-``_pairs``, ``segments_per_resource``, ``min`` or ``max``; the ``aux``
+``_pairs``, ``segments_per_resource``, ``min`` or ``max``.  ``_pairs``, a
+view of the walk ``summarize`` uses, is checked pair by pair against the
+generator it replaced on the same logs; the ``aux``
 file is checked against one ``writerow`` per share, byte for byte, on logs
 whose names need CSV quoting.  The id sweep's points,
 intervals, shares, ``aux`` file and debug table are checked against the
@@ -97,6 +99,7 @@ from helpers import (
     mtri_overlapped_by_double_loop,
     mtwii_by_double_loop,
     overlapped_pairs_by_combinations,
+    pairs_by_live_items,
     parse_iso_8601_by_groups,
     parse_timestamp_by_groups,
     plan_shifts_by_fractions,
@@ -225,8 +228,8 @@ def test_corpus_has_the_adversarial_shapes(logs):
     assert max(len(s) for log in logs for s in segments_per_resource(log)) > 30
 
 
-def test_overlapped_pairs_match_all_pairs(logs):
-    for log in logs:
+def test_overlapped_pairs_match_all_pairs(logs, tie_logs):
+    for log in logs + tie_logs:
         for segment in segments_per_resource(log):
             actual = overlapped_pairs(segment)
             expected = overlapped_pairs_by_combinations(segment)
@@ -323,6 +326,17 @@ def test_summarize_equals_the_pair_sweep_reference(logs, crowded_logs,
         assert summarize(log) == summarize_by_pair_sweep(log)
 
 
+def test_pairs_equal_the_live_item_reference(logs, crowded_logs, tie_logs):
+    # Same pairs in the same order, the same items and == ratios.
+    found = 0
+    for log in logs + crowded_logs + tie_logs:
+        for segment in segments_per_resource(log):
+            expected = list(pairs_by_live_items(segment))
+            assert list(metrics._pairs(segment)) == expected
+            found += len(expected)
+    assert found > LOGS
+
+
 def test_summarize_walks_no_pair_and_no_segment(logs, crowded_logs, tie_logs,
                                                 monkeypatch):
     def forbidden(*args, **kwargs):
@@ -351,9 +365,9 @@ def test_summarize_builds_no_pair_object(logs, crowded_logs, monkeypatch):
     assert sum(report.counts.pairs_overlapped for report in expected) > 0
 
 
-def test_adjacent_pairs_match_rescan(logs):
+def test_adjacent_pairs_match_rescan(logs, tie_logs):
     found = 0
-    for log in logs:
+    for log in logs + tie_logs:
         for segment in segments_per_resource(log):
             actual = find_adjacent_pairs(segment)
             expected = adjacent_pairs_by_rescan(segment)
@@ -434,9 +448,9 @@ def test_adjust_and_aux_build_no_share(logs, tmp_path, monkeypatch):
         ]
 
 
-def test_sweep_views_equal_the_object_sweep(logs, crowded_logs):
+def test_sweep_views_equal_the_object_sweep(logs, crowded_logs, tie_logs):
     # Full segments, so instantaneous items are swept too.
-    for log in logs + crowded_logs:
+    for log in logs + crowded_logs + tie_logs:
         for segment in segments_per_resource(log):
             points = build_time_points(segment)
             assert points == time_points_by_objects(segment)

@@ -1,0 +1,90 @@
+"""Growth gates: the kernels that are linear stay linear.
+
+A fixed wall-clock bound cannot tell linear from quadratic on a shared,
+noisy host; the ratio of two sizes timed in one process can.  Each kernel
+runs on a chain log (adjacent items on ten resources) of 5,000 and 20,000
+items.  The sizes alternate, five rounds each, and the best CPU time of
+each size is kept.  A 4x larger input must cost less than 8x: linear work
+gives about 4 and n log n about 4.6, while quadratic work gives 16.
+``summarize`` and ``adjust_log`` have no gate yet: both still grow
+quadratically with the live count on nested logs.
+"""
+
+import gc
+import time
+
+import pytest
+
+from sweeplog.inject import inject
+from sweeplog.logio import read_csv, read_xes, write_csv, write_xes
+from sweeplog.model import segments_per_resource
+
+from helpers import make_log, wi
+
+SIZES = (5_000, 20_000)
+ROUNDS = 5
+BOUND = 8
+RESOURCES = 10
+BASE = 1_600_000_000_000  # 2020-09-13T12:26:40Z
+
+
+def chain_log(count):
+    # Item k is the (k // 10)-th of resource k % 10, and starts where that
+    # resource's previous item ends: every item is adjacent to the next.
+    return make_log([
+        wi(k + 1, BASE + k // RESOURCES * 60_000,
+           BASE + (k // RESOURCES + 1) * 60_000,
+           resource=f"R{k % RESOURCES}", activity=f"act-{k % 7}",
+           trace=f"c{k // 50}")
+        for k in range(count)
+    ])
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    folder = tmp_path_factory.mktemp("growth")
+    made = {}
+    for count in SIZES:
+        log = chain_log(count)
+        write_csv(log, folder / f"in{count}.csv")
+        write_xes(log, folder / f"in{count}.xes")
+        made[count] = log, folder / f"in{count}.csv", folder / f"in{count}.xes"
+    return folder, made
+
+
+KERNELS = {
+    "read_csv": lambda log, csv, xes, out: read_csv(csv),
+    "read_xes": lambda log, csv, xes, out: read_xes(xes),
+    "write_csv": lambda log, csv, xes, out: write_csv(log, out / "o.csv"),
+    "write_xes": lambda log, csv, xes, out: write_xes(log, out / "o.xes"),
+    "inject": lambda log, csv, xes, out: inject(log, 0.1),
+}
+
+
+def best_cpu_seconds(kernel, inputs):
+    folder, made = inputs
+    best = {count: float("inf") for count in SIZES}
+    for _ in range(ROUNDS):
+        for count in SIZES:
+            gc.collect()
+            began = time.process_time()
+            kernel(*made[count], folder)
+            best[count] = min(best[count], time.process_time() - began)
+    return best
+
+
+@pytest.mark.parametrize("name", sorted(KERNELS))
+def test_kernel_grows_linearly(inputs, name):
+    best = best_cpu_seconds(KERNELS[name], inputs)
+    small, large = SIZES
+    ratio = best[large] / best[small]
+    assert ratio < BOUND, f"{name}: {large} items took {ratio:.2f}x {small}"
+
+
+def test_the_chain_log_is_adjacent():
+    log = chain_log(100)
+    segments = segments_per_resource(log)
+    assert len(segments) == RESOURCES
+    for items in (segment.items for segment in segments):
+        assert all(a.end == b.start for a, b in zip(items, items[1:]))
+    assert inject(log, 0.1) != log
