@@ -24,7 +24,7 @@ from __future__ import annotations
 import csv
 import json
 import re
-from datetime import datetime, timedelta, timezone
+from datetime import date, datetime, timedelta, timezone
 from functools import lru_cache
 from itertools import groupby
 from operator import attrgetter
@@ -113,18 +113,16 @@ _TWO_DIGITS = [f"{n:02}" for n in range(60)]  # formats once, not 3,600 times
 _MM_SS = tuple(f"{m}:{s}." for m in _TWO_DIGITS for s in _TWO_DIGITS)
 _MS_UTC = tuple(f"{ms:03}+00:00" for ms in range(1_000))
 
-# parse_timestamp's tables: each piece of a canonical UTC stamp to its ms.
-_HOUR_MS = {f"{hh}:": int(hh) * 3_600_000 for hh in _TWO_DIGITS[:24]}
+# parse_timestamp's day and tables: each piece of a UTC stamp to its ms.  The
+# hour key starts at the day's "-", as fromisoformat also reads "YYYYMMDD"
+# and any two characters as a day; no other day it reads has "-" at index 7.
+_date = date.fromisoformat  # bound once: a lookup on date per stamp is slower
+_EPOCH_DAY = date(1970, 1, 1).toordinal()
+_HOUR_MS = {f"-{dd}{sep}{hh}:": ms  # an hour's 62 keys share one int
+            for hh in _TWO_DIGITS[:24] for ms in [int(hh) * 3_600_000]
+            for dd in _TWO_DIGITS[1:32] for sep in "T "}
 _MM_SS_MS = {text: second * 1_000 for second, text in enumerate(_MM_SS)}
 _MILLI_MS = {text[:3]: milli for milli, text in enumerate(_MS_UTC)}
-
-
-@lru_cache(maxsize=4096)  # by day: a key per hour thrashed on random stamps
-def _day_ms(prefix: str) -> int | None:
-    try:
-        return _parse_timestamp(prefix + "00:00:00.000+00:00")
-    except LogFormatError:
-        return None
 
 
 def parse_timestamp(text: str) -> int:
@@ -133,15 +131,15 @@ def parse_timestamp(text: str) -> int:
     Accepts optional fractional seconds and UTC offset; a trailing ``Z``
     and missing offsets (read as UTC) are tolerated.  Every Python reads
     exactly the forms Python 3.11's ``fromisoformat`` reads correctly.
-    UTC ``YYYY-MM-DDTHH:MM:SS.mmm`` is looked up (a cached day, three tables);
-    other text goes to the full parser, whose language and errors are kept.
+    UTC ``YYYY-MM-DD[T ]HH:MM:SS.mmm`` is looked up (``date.fromisoformat``
+    and three tables); the full parser reads the rest, with its errors.
     """
-    day = _day_ms(text[:11]) if text[23:] in ("Z", "z", "+00:00") else None
-    if day is not None:
-        try:  # a missed piece leaves it to the full parser
-            return (day + _HOUR_MS[text[11:14]] + _MM_SS_MS[text[14:20]]
-                    + _MILLI_MS[text[20:23]])
-        except KeyError:
+    if text[23:] in ("Z", "z", "+00:00"):
+        try:  # a missed piece or an invalid day leaves it to the full parser
+            return (_HOUR_MS[text[7:14]] + _MM_SS_MS[text[14:20]]
+                    + _MILLI_MS[text[20:23]]  # before the day, which they guard
+                    + (_date(text[:10]).toordinal() - _EPOCH_DAY) * 86_400_000)
+        except (KeyError, ValueError):
             pass
     return _parse_timestamp(text)
 
@@ -377,7 +375,7 @@ def write_xes(log: EventLog, path: PathLike) -> None:
         if bad:
             raise ValueError(f"{path}: trace {item.trace_id!r}: character "
                              f"{bad[0]!r} cannot be written to XML")
-    with Path(path).open("w", encoding="utf-8") as handle:
+    with Path(path).open("w", newline="", encoding="utf-8") as handle:
         handle.write(_XES_HEAD)
         for trace_id, items in groupby(log.items, key=attrgetter("trace_id")):
             handle.write(f"""\
@@ -465,4 +463,5 @@ def report_to_json(report: MetricsReport) -> str:
 
 def write_report(report: MetricsReport, path: PathLike) -> None:
     """Write a metrics report as a flat JSON key/value document."""
-    Path(path).write_text(report_to_json(report) + "\n", encoding="utf-8")
+    Path(path).write_text(report_to_json(report) + "\n", encoding="utf-8",
+                          newline="")

@@ -1,3 +1,4 @@
+import builtins
 import csv
 import io
 import json
@@ -481,6 +482,9 @@ def test_checked_in_iso_stamps_take_the_grammar_path():
     ("adjust", "four_tasks.iso.csv", "four_tasks.adjusted.csv"),
     ("adjust", "thirds.csv", "thirds.adjusted.csv"),
     ("aux", "thirds.csv", "thirds.aux.csv"),
+    # The paper's example: T1 and T2 share interval B (65 min), and T1, T3
+    # and T4 share interval C (20 min).
+    ("aux", "four_tasks.csv", "four_tasks.aux.csv"),
     # Names with a comma, a quote, LF, CR and CRLF, as Python 3.13 writes
     # them; every version must write the same bytes.
     ("adjust", "quoted.csv", "quoted.adjusted.csv"),
@@ -548,3 +552,29 @@ def test_carriage_return_in_an_xes_name_is_quoted_in_csv(tmp_path, capsys):
     assert run(["metrics", "--in", str(tmp_path / "adjust.csv")]) == 0
     assert read_csv(tmp_path / "adjust.csv") == read_xes(source)
     assert capsys.readouterr().err == ""
+
+
+def test_every_writer_opens_its_file_without_newline_translation(
+        tmp_path, four_csv, monkeypatch):
+    # newline="" writes each "\n" as LF on every platform, so the written
+    # bytes equal the golden files on Windows too.
+    opened = []
+    real_open = io.open
+
+    def recorded(file, mode="r", buffering=-1, encoding=None, errors=None,
+                 newline=None, closefd=True, opener=None):
+        if "w" in mode:
+            opened.append((Path(file).name, newline))
+        return real_open(file, mode, buffering, encoding, errors, newline,
+                         closefd, opener)
+
+    monkeypatch.setattr(io, "open", recorded)  # Path.open calls io.open
+    monkeypatch.setattr(builtins, "open", recorded)
+    log = read_csv(four_csv)
+    logio.write_csv(log, tmp_path / "log.csv")
+    logio.write_xes(log, tmp_path / "log.xes")
+    logio.write_report(summarize(log), tmp_path / "report.json")
+    assert run(["aux", "--in", str(four_csv),
+                "--out", str(tmp_path / "aux.csv")]) == 0
+    assert sorted(opened) == [("aux.csv", ""), ("log.csv", ""),
+                              ("log.xes", ""), ("report.json", "")]

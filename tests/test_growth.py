@@ -7,16 +7,21 @@ items.  The sizes alternate, five rounds each, and the best CPU time of
 each size is kept.  A 4x larger input must cost less than 8x: linear work
 gives about 4 and n log n about 4.6, while quadratic work gives 16.
 ``summarize`` and ``adjust_log`` have no gate yet: both still grow
-quadratically with the live count on nested logs.
+quadratically with the live count on nested logs.  The span gate times
+``parse_timestamp`` the same way on 40,000 written-form stamps within one
+month and 40,000 spread over 1990-2030, and the wide set must cost less
+than 1.5x the narrow one: a cache of days would miss on the wide set.
 """
 
 import gc
+import random
 import time
 
 import pytest
 
 from sweeplog.inject import inject
-from sweeplog.logio import read_csv, read_xes, write_csv, write_xes
+from sweeplog.logio import (format_timestamp, parse_timestamp, read_csv,
+                            read_xes, write_csv, write_xes)
 from sweeplog.model import segments_per_resource
 
 from helpers import make_log, wi
@@ -79,6 +84,29 @@ def test_kernel_grows_linearly(inputs, name):
     small, large = SIZES
     ratio = best[large] / best[small]
     assert ratio < BOUND, f"{name}: {large} items took {ratio:.2f}x {small}"
+
+
+def test_parse_timestamp_costs_the_same_over_any_span():
+    def written(first, last, seed):
+        low, high = parse_timestamp(first), parse_timestamp(last)
+        rng = random.Random(seed)
+        return [format_timestamp(rng.randrange(low, high))
+                for _ in range(40_000)]
+
+    spans = {"month": written("2024-01-01T00:00:00.000Z",
+                              "2024-02-01T00:00:00.000Z", 1),
+             "decades": written("1990-01-01T00:00:00.000Z",
+                                "2030-01-01T00:00:00.000Z", 2)}
+    best = dict.fromkeys(spans, float("inf"))
+    for _ in range(ROUNDS):
+        for name, texts in spans.items():
+            gc.collect()
+            began = time.process_time()
+            for text in texts:
+                parse_timestamp(text)
+            best[name] = min(best[name], time.process_time() - began)
+    ratio = best["decades"] / best["month"]
+    assert ratio < 1.5, f"1990-2030 took {ratio:.2f}x one month"
 
 
 def test_the_chain_log_is_adjacent():

@@ -24,7 +24,6 @@ from sweeplog.logio import (
     read_csv,
     read_log,
     read_xes,
-    _day_ms,
     _hour_prefix,
     _parse_iso_8601,
     _parse_timestamp,
@@ -337,17 +336,25 @@ class TestTimestampLookup:
         ("2021-03-04T08:15:30:123Z", False),
         ("2021-03-04T08:15:30.123", True),
         ("2021-03-04T08:15:30.123Zulu", False),
+        ("20240101xxT08:15:30.123Z", False),  # fromisoformat reads 20240101
+        ("2024010112T08:15:30.123Z", False),  # and here too
+        ("2021-W01-5T08:15:30.123Z", True),  # a week date
+        ("2021-03-04 08:15:30.123Z", True),  # a space for the T
+        ("2021-03-04x08:15:30.123Z", True),  # any other separator
+        ("2021-03-04008:15:30.123Z", False),
+        ("2021-02-29T08:15:30.123Z", False),  # 29 February in 2021
+        ("0000-12-31T23:59:59.999Z", False),  # year 0
+        ("2021-0\ud800-04T08:15:30.123Z", False),  # a lone surrogate
     ])
     def test_near_misses(self, text, valid):
         assert isinstance(outcome(parse_timestamp, text), int) == valid
         assert_parsed_as_by_the_fallback([text])
 
     def test_random_order_over_more_days_than_the_cache(self):
-        # 15 years hold more days than the cache keeps, so days are evicted
-        # and read again while the stamps come in random order.
+        # 15 years of stamps in random order: more days than a small cache
+        # of days would keep.
         start = parse_timestamp("2010-01-01T00:00:00.000Z")
         span = 15 * 365 * 86_400_000
-        assert span // 86_400_000 > _day_ms.cache_info().maxsize
         rng = random.Random(15)
         texts = [format_timestamp(start + rng.randrange(span))
                  for _ in range(20_000)]
@@ -355,7 +362,8 @@ class TestTimestampLookup:
             _parse_timestamp(text) for text in texts]
 
     def test_reading_a_file_parses_each_day_once(self, monkeypatch):
-        # A table that missed would send each stamp to the full parser.
+        # A table that missed would send a stamp to the full parser, and
+        # the lookup reads each day itself.
         calls = []
 
         def counted(text):
@@ -363,13 +371,15 @@ class TestTimestampLookup:
             return _parse_timestamp(text)
 
         monkeypatch.setattr(logio, "_parse_timestamp", counted)
-        _day_ms.cache_clear()
+        for value in vars(logio).values():  # no cache may hide a call
+            getattr(value, "cache_clear", lambda: None)()
         fixture = Path(__file__).parent / "data" / "four_tasks.csv"
         log = read_csv(fixture)
         days = {format_timestamp(stamp)[:10]
                 for item in log.items for stamp in (item.start, item.end)}
         assert len(log) == 4
-        assert len(calls) <= len(days) == 1
+        assert len(days) == 1
+        assert calls == []
 
 
 class TestReadCsv:
