@@ -3,6 +3,7 @@
 Neither format carries work-item identifiers: ids are assigned here as
 sequential integers after rows are put into a canonical order, so reading
 a file twice, or reading what was just written, yields identical logs.
+A read log holds one ``str`` per distinct case id, activity and resource.
 
 The XES dialect is deliberately small: per-trace events with
 ``concept:name``, ``org:resource``, ``time:timestamp``, and a
@@ -182,6 +183,7 @@ def read_csv(path: PathLike) -> EventLog:
             return LogFormatError(f"{path}: line {reader.line_num}: {message}")
 
         rows: list[_Row] = []
+        one = {}.setdefault  # one str per distinct name, for this read only
         try:  # csv.Error: a field over the size limit
             header = next(reader, None)
             if header is None:
@@ -207,7 +209,8 @@ def read_csv(path: PathLike) -> EventLog:
                     raise error("end timestamp precedes start")
                 if not activity or not resource or not case_id:
                     raise error("empty activity, resource or case_id")
-                rows.append((case_id, start, end, activity, resource))
+                rows.append((one(case_id, case_id), start, end,
+                             one(activity, activity), one(resource, resource)))
         except csv.Error as exc:
             raise error(str(exc)) from None
     return _assemble(rows)
@@ -255,6 +258,7 @@ def read_xes(path: PathLike) -> EventLog:
     """
     path = Path(path)
     rows: list[_Row] = []
+    one = {}.setdefault  # one str per distinct name, for this read only
     named_by_id: dict[str, bool] = {}
     names: list[str | None] = []  # the open trace's concept:name candidates
     events: list[dict[str, str]] | None = None  # its events, None outside
@@ -312,7 +316,8 @@ def read_xes(path: PathLike) -> EventLog:
                 start = pending.pop(0)
                 if stamp < start:
                     raise error("'complete' precedes its start", activity)
-                rows.append((trace_id, start, stamp, activity, resource))
+                rows.append((trace_id, start, stamp, one(activity, activity),
+                             one(resource, resource)))
             else:
                 raise error("unsupported lifecycle:transition "
                             f"{attrs.get('lifecycle:transition')!r}", activity)

@@ -228,9 +228,11 @@ def _clocks(log: EventLog) -> dict[str, tuple[int, dict[Instant, int]]]:
         change[item.start] = change.get(item.start, 0) + 1
         change[item.end] = change.get(item.end, 0) - 1
     clocks: dict[str, tuple[int, dict[Instant, int]]] = {}
-    for resource, change in changes.items():
+    while changes:  # each table is dropped once its clock needs it no more
+        resource, change = changes.popitem()
         times = sorted(change)
         lives = list(accumulate(change[time] for time in times))
+        del change
         scale = lcm(*set(lives) - {0})
         # From each boundary to the next, the clock gains gap * D / live.
         gains = ((after - time) * (scale // live) if live else 0

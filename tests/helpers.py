@@ -112,6 +112,23 @@ def make_log(items) -> EventLog:
     return validate_log(items)
 
 
+CHAIN_RESOURCES = 10
+
+
+def chain_log(count: int) -> EventLog:
+    # Item k is the (k // 10)-th of resource k % 10, and starts where that
+    # resource's previous item ends: every item is adjacent to the next.
+    # Seven activities, and fifty items per trace.
+    base = 1_600_000_000_000  # 2020-09-13T12:26:40Z
+    return make_log([
+        wi(k + 1, base + k // CHAIN_RESOURCES * 60_000,
+           base + (k // CHAIN_RESOURCES + 1) * 60_000,
+           resource=f"R{k % CHAIN_RESOURCES}", activity=f"act-{k % 7}",
+           trace=f"c{k // 50}")
+        for k in range(count)
+    ])
+
+
 # Golden four-task, one-resource example: T1 spans the first 130 time
 # units and overlaps T2 fully, T3 partly, and T4 partly; everything is
 # done by minute 150 even though raw durations sum to 280.  Expressed in

@@ -24,25 +24,11 @@ from sweeplog.logio import (format_timestamp, parse_timestamp, read_csv,
                             read_xes, write_csv, write_xes)
 from sweeplog.model import segments_per_resource
 
-from helpers import make_log, wi
+from helpers import CHAIN_RESOURCES, chain_log
 
 SIZES = (5_000, 20_000)
 ROUNDS = 5
 BOUND = 8
-RESOURCES = 10
-BASE = 1_600_000_000_000  # 2020-09-13T12:26:40Z
-
-
-def chain_log(count):
-    # Item k is the (k // 10)-th of resource k % 10, and starts where that
-    # resource's previous item ends: every item is adjacent to the next.
-    return make_log([
-        wi(k + 1, BASE + k // RESOURCES * 60_000,
-           BASE + (k // RESOURCES + 1) * 60_000,
-           resource=f"R{k % RESOURCES}", activity=f"act-{k % 7}",
-           trace=f"c{k // 50}")
-        for k in range(count)
-    ])
 
 
 @pytest.fixture(scope="module")
@@ -112,7 +98,7 @@ def test_parse_timestamp_costs_the_same_over_any_span():
 def test_the_chain_log_is_adjacent():
     log = chain_log(100)
     segments = segments_per_resource(log)
-    assert len(segments) == RESOURCES
+    assert len(segments) == CHAIN_RESOURCES
     for items in (segment.items for segment in segments):
         assert all(a.end == b.start for a, b in zip(items, items[1:]))
     assert inject(log, 0.1) != log

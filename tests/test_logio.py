@@ -16,6 +16,7 @@ import sweeplog
 from sweeplog import logio, model
 from sweeplog.logio import (
     CSV_COLUMNS,
+    FORMATS,
     LogFormatError,
     _csv_record,
     format_timestamp,
@@ -37,7 +38,8 @@ from sweeplog.logio import (
 from sweeplog.metrics import MetricsReport, SummaryCounts, summarize
 from sweeplog.sweep import adjust_log
 
-from helpers import FOUR_TASK_CSV, make_log, wi, xes_event, xes_text
+from helpers import (FOUR_TASK_CSV, chain_log, make_log, wi, xes_event,
+                     xes_text)
 
 MINUTE = 60_000
 # 0001-01-01T00:00:00.000 and 9999-12-31T23:59:59.999, in epoch ms.
@@ -865,6 +867,39 @@ class TestReadXes:
         assert len(read_xes(path)) == 2_000
         assert peak_bytes(lambda: read_xes(path)) < (
             peak_bytes(lambda: ET.parse(path)) / 4)
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+class TestNamesHeldOnce:
+    """A read log holds one ``str`` per distinct case, activity, resource."""
+
+    def test_equal_names_are_one_object(self, tmp_path, fmt):
+        path = tmp_path / f"names.{fmt}"
+        write_log(make_log([
+            wi(seq, seq * MINUTE, (seq + 2) * MINUTE, trace=f"case-{seq % 5}",
+               activity=f"review-{seq % 4}", resource=f"clerk-{seq % 3}")
+            for seq in range(60)]), fmt, path)
+        names = [name for item in read_log(path).items
+                 for name in (item.trace_id, item.activity, item.resource)]
+        assert len(set(names)) == 12
+        assert len({id(name) for name in names}) == 12
+
+    def test_a_read_log_retains_under_300_bytes_per_item(self, tmp_path, fmt):
+        # The chain log's 20,000 items repeat 10 resources, 7 activities
+        # and 400 cases; a fresh str per name and row was 330-400 B an item.
+        count = 20_000
+        path = tmp_path / f"chain.{fmt}"
+        write_log(chain_log(count), fmt, path)
+        read_log(path)  # so that first-call allocations are not counted
+        gc.collect()
+        tracemalloc.start()
+        try:
+            log = read_log(path)
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(log) == count
+        assert retained / count < 300
 
 
 def test_importing_sweeplog_loads_no_elementtree():
