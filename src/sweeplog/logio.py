@@ -25,6 +25,7 @@ from __future__ import annotations
 import csv
 import json
 import re
+from collections import deque
 from datetime import date, datetime, timedelta, timezone
 from functools import lru_cache
 from itertools import groupby
@@ -294,7 +295,7 @@ def read_xes(path: PathLike) -> EventLog:
             where = "" if activity is None else f", activity {activity!r}"
             return LogFormatError(f"{path}: trace {trace_id!r}{where}: {text}")
 
-        open_starts: dict[tuple[str, str], list[int]] = {}
+        waiting: dict[tuple[str, str], deque[int]] = {}  # open starts, FIFO
         for attrs in events:
             activity = attrs.get("concept:name")
             resource = attrs.get("org:resource")
@@ -308,12 +309,12 @@ def read_xes(path: PathLike) -> EventLog:
             except LogFormatError as exc:
                 raise error(str(exc), activity) from None
             if transition == _TRANSITION_START:
-                open_starts.setdefault((activity, resource), []).append(stamp)
+                waiting.setdefault((activity, resource), deque()).append(stamp)
             elif transition == _TRANSITION_COMPLETE:
-                pending = open_starts.get((activity, resource))
+                pending = waiting.get((activity, resource))
                 if not pending:
                     raise error("'complete' without a prior start", activity)
-                start = pending.pop(0)
+                start = pending.popleft()
                 if stamp < start:
                     raise error("'complete' precedes its start", activity)
                 rows.append((trace_id, start, stamp, one(activity, activity),
@@ -321,7 +322,7 @@ def read_xes(path: PathLike) -> EventLog:
             else:
                 raise error("unsupported lifecycle:transition "
                             f"{attrs.get('lifecycle:transition')!r}", activity)
-        for (activity, _), pending in open_starts.items():
+        for (activity, _), pending in waiting.items():
             if pending:
                 raise error("'start' without a matching complete", activity)
 

@@ -5,13 +5,13 @@ summing raw durations overstates its busy time.  Here each span is split
 evenly among the items live over it (processor sharing): one virtual clock
 per resource advances by span / live between consecutive boundaries, and
 an item's adjusted duration, the exact sum of its shares, is the clock's
-advance from its start to its end.  Adjusted durations of a resource add
-up to the measure of the union of its busy intervals, never more.  Ends
-come from ``_clocks``, which needs no ids: its clock is an integer count
-of 1/D ms, D the lcm of the live counts, so all arithmetic is exact.  The
-id sweep, ``_bounds`` then ``_cut``, gives the shares, the ``aux`` table
-and the debug table, and the point, interval and share builders view it.
-Exact ends and shares are built only on request.
+advance from its start to its end; a resource's durations add up to the
+measure of its busy time.  Ends come from ``_clocks``, which needs no ids:
+a clock counts 1/D ms, D the lcm of the live counts, so all arithmetic is
+exact.  A resource that never runs two items at once needs no clock: each
+advance is the item's duration.  The id sweep, ``_bounds`` then ``_cut``,
+gives the shares, the ``aux`` table, the debug table and the views of the
+point, interval and share builders.  Exact ends and shares come on request.
 """
 
 from __future__ import annotations
@@ -120,9 +120,9 @@ class LogAdjustment:
         clocks = _clocks(self.source)
 
         def exact(item: WorkItem) -> CoalescedItem:
-            scale, clock = clocks[item.resource]
-            end = item.start + Fraction(clock[item.end] - clock[item.start],
-                                        scale)
+            scale, clock = clocks.get(item.resource, (1, None))
+            end = Fraction(item.end) if clock is None else item.start + (
+                Fraction(clock[item.end] - clock[item.start], scale))
             return CoalescedItem(item.id, item.activity, item.resource,
                                  item.trace_id, item.start, end)
         return tuple(map(exact, self.source.items))
@@ -220,7 +220,7 @@ def _sweeps(log: EventLog
 
 
 def _clocks(log: EventLog) -> dict[str, tuple[int, dict[Instant, int]]]:
-    """Per resource, D = lcm(live counts) and D * clock at each boundary."""
+    """Per multitasking resource, D = lcm(lives) and D * clock per boundary."""
     # Net live-count change per boundary; an instantaneous item's nets to 0.
     changes: dict[str, dict[Instant, int]] = {}
     for item in log.items:
@@ -233,6 +233,8 @@ def _clocks(log: EventLog) -> dict[str, tuple[int, dict[Instant, int]]]:
         times = sorted(change)
         lives = list(accumulate(change[time] for time in times))
         del change
+        if max(lives) <= 1:  # it never multitasks: every end stays
+            continue
         scale = lcm(*set(lives) - {0})
         # From each boundary to the next, the clock gains gap * D / live.
         gains = ((after - time) * (scale // live) if live else 0
@@ -245,21 +247,23 @@ def _clocks(log: EventLog) -> dict[str, tuple[int, dict[Instant, int]]]:
 def adjust_log(log: EventLog) -> LogAdjustment:
     """Fair-share adjust every resource of a log.
 
-    Instantaneous items carry no divisible time: they get no shares, and
-    are copied unchanged into the coalesced log.  Every other item ends at
-    its start plus the sum of its shares, rounded half-up, and is kept as
-    it is if that end does not move.  The coalesced log keeps the input's
-    length, ids, trace structure, activities, resources, and starts.
+    Instants hold no time to divide: they get no shares and are kept as
+    they are.  Every other item ends at its start plus the sum of its
+    shares, rounded half-up, and is kept if that end does not move, as on
+    a resource that never runs two items at once, which gets no clock.
+    Length, ids, traces, activities, resources and starts stay the same.
     """
     clocks = _clocks(log)
     coalesced = []
     for item in log.items:
-        scale, clock = clocks[item.resource]
-        end = item.start + _round_half_up(
-            clock[item.end] - clock[item.start], scale)
-        coalesced.append(item if end == item.end else WorkItem(
-            item.id, item.activity, item.resource, item.trace_id,
-            item.start, end))
+        if clocked := clocks.get(item.resource):  # else its end stays
+            scale, clock = clocked
+            end = item.start + _round_half_up(
+                clock[item.end] - clock[item.start], scale)
+            if end != item.end:
+                item = WorkItem(item.id, item.activity, item.resource,
+                                item.trace_id, item.start, end)
+        coalesced.append(item)
     # Ids, trace ids and starts come from a validated log and no end falls
     # below its start, so validating again could change no order.
     return LogAdjustment(EventLog(tuple(coalesced)), source=log)

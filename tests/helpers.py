@@ -37,6 +37,9 @@ resource's ratios in one list and wrote two ids per pair, which one flat
 sweep per resource that streams each item's ratios to ``fsum`` replaced.
 ``pairs_by_live_items`` is the pair generator it walked: ``metrics._pairs``
 before ``_pairs`` became a view of ``metrics._overlaps``, the indexes' walk.
+``adjust_by_clock_on_every_resource`` is ``adjust_log`` and its exact ends
+as they were when every resource got a virtual clock, before a resource
+that never runs two items at once kept its items without one.
 """
 
 from __future__ import annotations
@@ -50,8 +53,8 @@ from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from collections import deque
 from datetime import date, datetime, time, timedelta, timezone
-from itertools import combinations
-from math import comb, fsum
+from itertools import accumulate, combinations
+from math import comb, fsum, lcm
 from operator import attrgetter
 from pathlib import Path
 
@@ -280,6 +283,38 @@ def coalesced_by_shares(log: EventLog) -> tuple:
         )
         for item in log.items
     )
+
+
+def adjust_by_clock_on_every_resource(log: EventLog) -> tuple:
+    """The coalesced log and the exact coalesced items, from one integer
+    clock per resource: D = lcm(live counts) and D * clock at each
+    boundary, built for every resource."""
+    changes: dict = {}
+    for item in log.items:
+        change = changes.setdefault(item.resource, {})
+        change[item.start] = change.get(item.start, 0) + 1
+        change[item.end] = change.get(item.end, 0) - 1
+    clocks = {}
+    for resource, change in changes.items():
+        times = sorted(change)
+        lives = list(accumulate(change[time] for time in times))
+        scale = lcm(*set(lives) - {0})
+        gains = ((after - time) * (scale // live) if live else 0
+                 for time, after, live in zip(times, times[1:], lives))
+        clocks[resource] = scale, dict(zip(times, accumulate(gains,
+                                                             initial=0)))
+    coalesced, exact = [], []
+    for item in log.items:
+        scale, clock = clocks[item.resource]
+        advance = clock[item.end] - clock[item.start]
+        end = item.start + _round_half_up(advance, scale)
+        coalesced.append(item if end == item.end else WorkItem(
+            item.id, item.activity, item.resource, item.trace_id,
+            item.start, end))
+        exact.append(CoalescedItem(
+            item.id, item.activity, item.resource, item.trace_id,
+            item.start, item.start + Fraction(advance, scale)))
+    return EventLog(tuple(coalesced)), tuple(exact)
 
 
 def union_measure_by_unit_steps(items) -> int:

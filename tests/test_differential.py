@@ -9,6 +9,10 @@ table's rows are those shares, and that the coalesced and the injected
 logs, built without a second validation, equal what validating them
 again would give.  Crowded logs, where up to 240 items are live at once,
 check the integer clock where its scale D grows to hundreds of bits.
+``adjust_log``, which clocks only the resources that run two items at
+once, is checked against the clock on every resource on all three
+corpora and on mixed logs, whose clean resources hold touching items and
+instants inside a span, at a shared boundary and alone.
 The callback XES reader is checked against the whole-tree and the
 ``iterparse`` readers it replaced, on these logs written as XES and on
 hand-written documents, well-formed or faulty.
@@ -85,6 +89,7 @@ from sweeplog.sweep import (
 
 from helpers import (
     adjacent_pairs_by_rescan,
+    adjust_by_clock_on_every_resource,
     adjustment_table_by_objects,
     adversarial_items,
     assemble_by_power_groups,
@@ -202,6 +207,51 @@ def tie_logs():
         ])
         for _ in range(LOGS)
     ]
+
+
+def clean_spans(rng):
+    """One resource's spans, never two live at once: positive spans that
+    mostly touch and sometimes leave a gap, and instants inside a span, at
+    a shared boundary, in a gap or on the ends; some resources hold one
+    instant alone."""
+    if rng.random() < 0.1:
+        return [((instant := rng.randint(0, 12)), instant)]
+    spans, time = [], rng.randint(0, 3)
+    for _ in range(rng.randint(1, 10)):
+        end = time + rng.randint(1, 6)
+        spans.append((time, end))
+        time = end + rng.choice((0, 0, 0, rng.randint(1, 4)))
+    bounds = [bound for span in spans for bound in span]
+    for _ in range(rng.randint(0, 4)):
+        instant = (rng.choice(bounds) if rng.random() < 0.5
+                   else rng.randint(bounds[0] - 2, bounds[-1] + 2))
+        spans.append((instant, instant))
+    return spans
+
+
+@pytest.fixture(scope="module")
+def mixed_logs():
+    """Resources that never multitask next to resources that do."""
+    rng = random.Random(19_931_001)
+    logs = []
+    for _ in range(LOGS):
+        kinds = [True] * rng.randint(1, 4) + [False] * rng.randint(1, 3)
+        rng.shuffle(kinds)
+        logs.append(make_log([
+            wi(f"{resource}-{seq}", start, end, resource=f"R{resource}",
+               activity=f"act-{seq % 4}", trace=f"t{seq % 3}")
+            for resource, clean in enumerate(kinds)
+            for seq, (start, end) in enumerate(
+                clean_spans(rng) if clean
+                else tie_spans(rng) + [(0, 2), (1, 3)])
+        ]))
+    return logs
+
+
+def clean_resources(log):
+    """The resources on which no two items are ever live at once."""
+    return {resource for resource, _, intervals in swept_by_objects(log)
+            if all(len(interval.active_ids) == 1 for interval in intervals)}
 
 
 def live_counts(log):
@@ -629,15 +679,48 @@ def test_exact_ends_are_built_on_first_access(logs):
         assert "coalesced_exact" in vars(adjusted)
 
 
-def test_items_whose_end_stays_are_the_input_objects(logs, crowded_logs):
+def test_items_whose_end_stays_are_the_input_objects(logs, crowded_logs,
+                                                      mixed_logs):
     kept = moved = 0
-    for log in logs + crowded_logs:
+    for log in logs + crowded_logs + mixed_logs:
+        clean = clean_resources(log)
         for item, out in zip(log.items, adjust_log(log).coalesced.items):
             assert out.id == item.id
             assert (out is item) == (out.end == item.end)
+            assert out is item or item.resource not in clean
             kept += out is item
             moved += out is not item
     assert kept > LOGS and moved > LOGS
+
+
+def test_mixed_corpus_has_the_clean_shapes(mixed_logs):
+    shapes = dict.fromkeys(("adjacent", "inside", "boundary", "lone"), 0)
+    for log in mixed_logs:
+        clean = clean_resources(log)
+        assert clean and len(clean) < len(segments_per_resource(log))
+        for segment in segments_per_resource(log):
+            if segment.resource not in clean:
+                continue
+            spans = [(it.start, it.end) for it in segment.items
+                     if it.end > it.start]
+            starts, ends = {s for s, _ in spans}, {e for _, e in spans}
+            shapes["adjacent"] += len(starts & ends)
+            for instant in (it.start for it in segment.items
+                            if it.start == it.end):
+                inside = any(s < instant < e for s, e in spans)
+                shapes["inside"] += inside
+                shapes["boundary"] += instant in starts and instant in ends
+                shapes["lone"] += not inside and instant not in starts | ends
+    assert min(shapes.values()) > LOGS // 2, shapes
+
+
+def test_adjust_equals_the_clock_on_every_resource(logs, crowded_logs,
+                                                   tie_logs, mixed_logs):
+    for log in logs + crowded_logs + tie_logs + mixed_logs:
+        coalesced, exact = adjust_by_clock_on_every_resource(log)
+        adjusted = adjust_log(log)
+        assert adjusted.coalesced == coalesced
+        assert adjusted.coalesced_exact == exact
 
 
 def test_streaming_xes_reader_matches_tree_reader(logs, tmp_path):

@@ -1,8 +1,10 @@
 import gc
 import random
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 
+from sweeplog import sweep
 from sweeplog.model import ResourceSegment, segments_per_resource
 from sweeplog.sweep import (
     _clocks,
@@ -248,10 +250,26 @@ class TestAdjustLog:
         assert r1_ids == [1, 2, 3, 4]
         assert r2_ids == [5]
 
+    def test_a_log_without_overlap_builds_no_clock(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("a clock was built")
+
+        log = chain_log(2_000)
+        monkeypatch.setattr(sweep, "lcm", forbidden)
+        adjusted = adjust_log(log)
+        assert all(out is item for out, item
+                   in zip(adjusted.coalesced.items, log.items, strict=True))
+        assert [c.end_exact for c in adjusted.coalesced_exact] == [
+            Fraction(item.end) for item in log.items]
+
     def test_clocks_peak_near_what_they_retain(self):
         # Each resource's table of changes is dropped once its clock is
         # built; kept to the end, they took the peak to 1.58x the clocks.
-        log = chain_log(20_000)
+        # A chain's items only touch, so no resource of it gets a clock;
+        # stretched by half a step, each overlaps the next.
+        assert _clocks(chain_log(20_000)) == {}
+        log = make_log([replace(item, end=item.end + 30_000)
+                        for item in chain_log(20_000).items])
         _clocks(log)  # so that first-call allocations are not counted
         gc.collect()
         tracemalloc.start()
