@@ -1,36 +1,31 @@
 """Batch command-line front end.
 
 ``run`` reads the input log once, prints the sweep's table to stderr for
-``--debug-table``, and hands the log to one of four subcommands, which
-compute and write: ``adjust`` the coalesced log, ``aux`` the fair-share
-table, ``metrics`` an index report (to a file or stdout), and ``inject``
-a log with synthetic overlap.  Diagnostics go to stderr.  Exit codes:
-0 success, 1 input or I/O error, 2 usage error.
+``--debug-table``, and hands the log to one of four subcommands, each one
+public library call that writes: ``adjust`` the coalesced log, ``aux`` the
+fair-share table, ``metrics`` an index report (to a file or stdout), and
+``inject`` a log with synthetic overlap.  Diagnostics go to stderr.  Exit
+codes: 0 success, 1 input or I/O error, 2 usage error.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from itertools import count
 from typing import Optional, Sequence
 
 from .inject import inject
 from .logio import (
-    CSV_COLUMNS,
     FORMATS,
-    _csv_join,
-    format_timestamp,
     read_log,
     report_to_json,
+    write_aux,
     write_log,
     write_report,
 )
 from .metrics import summarize
-from .model import EventLog, _round_half_up
-from .sweep import _sweeps, adjust_log, format_adjustment_table
-
-AUX_COLUMNS = ("aux_id", "parent_id", *CSV_COLUMNS, "duration_ms")
+from .model import EventLog
+from .sweep import adjust_log, format_adjustment_table
 
 
 def _cmd_adjust(log: EventLog, args: argparse.Namespace) -> None:
@@ -38,23 +33,7 @@ def _cmd_adjust(log: EventLog, args: argparse.Namespace) -> None:
 
 
 def _cmd_aux(log: EventLog, args: argparse.Namespace) -> None:
-    join = _csv_join(log.items)
-    heads = {item.id: join((str(item.id), item.trace_id, item.activity))
-             for item in log.items}
-    aux_ids = count(1)
-    with open(args.out, "w", newline="", encoding="utf-8") as handle:
-        handle.write(",".join(AUX_COLUMNS) + "\n")
-        # LogAdjustment.aux_items rows.  Each item's "parent_id,case_id,
-        # activity" and each interval's "resource,start,end,portion" are
-        # rendered once; of the latter only the resource can need quoting.
-        for resource, _, cuts in _sweeps(log):
-            resource_text = join((resource,))
-            for start, end, live in cuts:
-                tail = (f"{resource_text},{format_timestamp(start)},"
-                        f"{format_timestamp(end)},"
-                        f"{_round_half_up(end - start, len(live))}\n")
-                handle.write("".join([f"{next(aux_ids)},{heads[wiid]},{tail}"
-                                      for wiid in live]))
+    write_aux(log, args.out)
 
 
 def _cmd_metrics(log: EventLog, args: argparse.Namespace) -> None:

@@ -1,4 +1,4 @@
-"""Reading and writing event logs (CSV and a minimal XES dialect) and reports.
+"""Every file sweeplog reads or writes: logs (CSV, XES), aux tables, reports.
 
 Neither format carries work-item identifiers: ids are assigned here as
 sequential integers after rows are put into a canonical order, so reading
@@ -28,7 +28,7 @@ import re
 from collections import deque
 from datetime import date, datetime, timedelta, timezone
 from functools import lru_cache
-from itertools import groupby
+from itertools import count, groupby
 from operator import attrgetter
 from pathlib import Path
 from types import SimpleNamespace
@@ -38,6 +38,7 @@ from xml.parsers import expat
 from .metrics import MetricsReport
 from .model import (FIRST_INSTANT, LAST_INSTANT, EventLog, WorkItem,
                     _resorted, _round_half_up)
+from .sweep import _sweeps
 
 PathLike = Union[str, Path]
 
@@ -48,6 +49,8 @@ CSV_COLUMNS = (
     "start_timestamp",
     "end_timestamp",
 )
+
+AUX_COLUMNS = ("aux_id", "parent_id", *CSV_COLUMNS, "duration_ms")
 
 FORMATS = ("csv", "xes")
 
@@ -246,6 +249,26 @@ def write_csv(log: EventLog, path: PathLike) -> None:
     with Path(path).open("w", newline="", encoding="utf-8") as handle:
         handle.write(",".join(CSV_COLUMNS) + "\n")
         handle.writelines(f"{join(row)}\n" for row in rows)
+
+
+def write_aux(log: EventLog, path: PathLike) -> None:
+    """Write the fair-share table, one row per ``LogAdjustment.aux_items``."""
+    join = _csv_join(log.items)  # names and int ids; a str id may need quotes
+    heads = {item.id: (join if type(item.id) is int else _csv_record)(
+        (str(item.id), item.trace_id, item.activity)) for item in log.items}
+    aux_ids = count(1)
+    with Path(path).open("w", newline="", encoding="utf-8") as handle:
+        handle.write(",".join(AUX_COLUMNS) + "\n")
+        # Each item's "parent_id,case_id,activity" and each interval's
+        # "resource,start,end,portion" are rendered once.
+        for resource, _, cuts in _sweeps(log):
+            resource_text = join((resource,))
+            for start, end, live in cuts:
+                tail = (f"{resource_text},{format_timestamp(start)},"
+                        f"{format_timestamp(end)},"
+                        f"{_round_half_up(end - start, len(live))}\n")
+                handle.write("".join([f"{next(aux_ids)},{heads[wiid]},{tail}"
+                                      for wiid in live]))
 
 
 def read_xes(path: PathLike) -> EventLog:

@@ -58,9 +58,9 @@ from math import comb, fsum, lcm
 from operator import attrgetter
 from pathlib import Path
 
-from sweeplog.cli import AUX_COLUMNS
 from sweeplog.inject import PlannedShift, ShiftPlan, find_adjacent_pairs
 from sweeplog.logio import (
+    AUX_COLUMNS,
     CSV_COLUMNS,
     LogFormatError,
     _assemble,

@@ -1,0 +1,181 @@
+"""Mutants of ``src/`` that named tests must keep killing.
+
+Run from anywhere: ``python tests/mutants.py [NAME ...]`` (pytest must
+be installed; names pick mutants, all by default).  Each mutant is one
+exact text in one file of ``src/sweeplog`` and its replacement.  For each,
+``src/``, ``tests/`` and ``pyproject.toml`` are copied to a temporary
+directory, the text, which must occur exactly once, is replaced, and
+pytest runs the mutant's tests there; every one of them must fail.
+pyproject.toml's ``pythonpath = ["src"]`` goes ahead of ``PYTHONPATH``, so
+a mutated copy is tested only by a pytest that runs inside the copy.
+Before any mutant, the named tests must pass on an unmutated copy.
+
+The exit status is 1 if an old text is missing or repeated, a named test
+does not pass unmutated, or a mutant survives one of its tests.  A change
+that moves mutated code updates the old text here; a change that claims a
+test fails without it adds that mutant here.
+"""
+
+from __future__ import annotations
+
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str  # under src/sweeplog
+    old: str
+    new: str
+    tests: tuple[str, ...]  # pytest node ids, each expected to fail
+
+
+ACCEPTANCE = "tests/test_acceptance.py::TestAcceptance"
+ADJUST = "tests/test_sweep.py::TestAdjustLog"
+CLI = "tests/test_cli.py"
+DIFF = "tests/test_differential.py"
+GOLDEN = f"{CLI}::test_outputs_match_the_checked_in_golden_files"
+LOOKUP = "tests/test_logio.py::TestTimestampLookup"
+METRICS = "tests/test_metrics.py"
+
+MUTANTS = (
+    Mutant("stamps skip the ISO-8601 grammar", "logio.py",
+           "if _ISO_8601.fullmatch(text) is None:", "if False:",
+           ("tests/test_logio.py::TestTimestamps::test_misread_forms_rejected"
+            "[2021-01-01T12345+01:00]",
+            f"{DIFF}::test_iso_8601_grammar_with_fromisoformat_equals_the_"
+            "group_converter")),
+    Mutant("overlaps keep items that end at a start", "metrics.py",
+           "live = [other for other in live if other[0] > start]",
+           "live = [other for other in live if other[0] >= start]",
+           (f"{DIFF}::test_pairs_equal_the_live_item_reference",
+            f"{METRICS}::TestSummarize::test_pairs_count_matches_"
+            "enumeration")),
+    Mutant("overlaps forget the predecessor", "metrics.py",
+           "            if previous.end > start:", "            if False:",
+           (f"{METRICS}::TestSummarize::test_four_task_counts",
+            f"{CLI}::test_reports_match_the_checked_in_golden_files[ties]")),
+    Mutant("overlaps reach only the last end", "metrics.py",
+           "reach = end if end > reach else reach", "reach = end",
+           (f"{METRICS}::TestMtri::test_four_task_value",
+            f"{DIFF}::test_pairs_equal_the_live_item_reference")),
+    Mutant("sweeps keep instants", "sweep.py",
+           "_bounds(item for item in items if item.end > item.start)",
+           "_bounds(items)",
+           (f"{DIFF}::test_sweep_views_equal_the_object_sweep",
+            f"{GOLDEN}[aux --debug-table-ties.csv-ties.debug.txt]")),
+    Mutant("hour key at the time's T", "logio.py",
+           "_HOUR_MS[text[7:14]]", '_HOUR_MS["-01" + text[10:14]]',
+           (f"{LOOKUP}::test_near_misses[20240101xxT08:15:30.123Z-False]",
+            f"{LOOKUP}::test_near_misses[2024010112T08:15:30.123Z-False]")),
+    Mutant("hour key on the day's last digit", "logio.py",
+           "_HOUR_MS[text[7:14]]", '_HOUR_MS["-1" + text[9:14]]',
+           (f"{LOOKUP}::test_near_misses[2024010112T08:15:30.123Z-False]",)),
+    Mutant("stamp lookup lets a bad day through", "logio.py",
+           "        except (KeyError, ValueError):",
+           "        except KeyError:",
+           (f"{LOOKUP}::test_calendar_edges",
+            f"{LOOKUP}::test_near_misses[2021-02-29T08:15:30.123Z-False]")),
+    Mutant("write_xes translates newlines", "logio.py",
+           'open("w", newline="", encoding="utf-8") as handle:\n'
+           "        handle.write(_XES_HEAD)",
+           'open("w", encoding="utf-8") as handle:\n'
+           "        handle.write(_XES_HEAD)",
+           (f"{CLI}::test_every_writer_opens_its_file_without_newline_"
+            "translation",)),
+    Mutant("read_csv keeps a string per case id", "logio.py",
+           "rows.append((one(case_id, case_id), start, end,",
+           "rows.append((case_id, start, end,",
+           ("tests/test_logio.py::TestNamesHeldOnce::test_equal_names_are_one_"
+            "object[csv]",)),
+    Mutant("_clocks keeps every change table", "sweep.py",
+           "    while changes:  # each table is dropped once its clock needs"
+           " it no more\n        resource, change = changes.popitem()",
+           "    for resource, change in list(changes.items()):",
+           (f"{ADJUST}::test_clocks_peak_near_what_they_retain",)),
+    Mutant("clocks skip resources with two live items", "sweep.py",
+           "if max(lives) <= 1:", "if max(lives) <= 2:",
+           (f"{ADJUST}::test_identical_spans_split_evenly",
+            f"{DIFF}::test_adjust_equals_the_clock_on_every_resource",
+            f"{ACCEPTANCE}::test_criterion_2_busy_time_conservation")),
+    Mutant("clocks on every resource", "sweep.py",
+           "if max(lives) <= 1:", "if max(lives) < 1:",
+           (f"{ADJUST}::test_a_log_without_overlap_builds_no_clock",)),
+    Mutant("exempt exact ends at the start", "sweep.py",
+           "end = Fraction(item.end) if clock is None",
+           "end = Fraction(item.start) if clock is None",
+           (f"{DIFF}::test_adjust_equals_the_clock_on_every_resource",
+            f"{ADJUST}::test_a_log_without_overlap_builds_no_clock")),
+    Mutant("write_aux floors each portion", "logio.py",
+           "{_round_half_up(end - start, len(live))}",
+           "{(end - start) // len(live)}",
+           (f"{GOLDEN}[aux-quoted.csv-quoted.aux.csv]",
+            f"{DIFF}::test_aux_file_is_the_per_share_rows_byte_for_byte")),
+    Mutant("write_aux joins string ids bare", "logio.py",
+           "(join if type(item.id) is int else _csv_record)(",
+           '(join if type(item.id) is int else ",".join)(',
+           (f"{DIFF}::test_aux_quotes_the_one_name_that_needs_it",)),
+)
+
+
+def copy_tree(into: Path) -> None:
+    ignore = shutil.ignore_patterns("__pycache__", "*.egg-info")
+    for part in ("src", "tests"):
+        shutil.copytree(ROOT / part, into / part, ignore=ignore)
+    shutil.copy2(ROOT / "pyproject.toml", into / "pyproject.toml")
+
+
+def failed(copy: Path, tests: tuple[str, ...]) -> set[str]:
+    """The named tests that fail (or err) when pytest runs in ``copy``."""
+    result = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "--tb=no", "-rfE",
+         "-p", "no:cacheprovider", *tests],
+        cwd=copy, capture_output=True, text=True)
+    if result.returncode not in (0, 1):  # a usage or collection error
+        raise RuntimeError(result.stdout + result.stderr)
+    lines = result.stdout.splitlines()
+    return {test for test in tests for line in lines
+            if line in (f"FAILED {test}", f"ERROR {test}")
+            or line.startswith((f"FAILED {test} - ", f"ERROR {test} - "))}
+
+
+def main(names: list[str]) -> int:
+    chosen = [m for m in MUTANTS if not names or m.name in names]
+    problems = [f"{name}: no such mutant"
+                for name in set(names) - {m.name for m in MUTANTS}]
+    with tempfile.TemporaryDirectory() as scratch:
+        clean = Path(scratch) / "clean"
+        copy_tree(clean)
+        for mutant in chosen:
+            found = (clean / "src" / "sweeplog" / mutant.file).read_text(
+                encoding="utf-8").count(mutant.old)
+            if found != 1:
+                problems.append(f"{mutant.name}: old text found {found} times")
+        if not problems:  # else a mutant might meet no text, or no test
+            named = tuple(dict.fromkeys(t for m in chosen for t in m.tests))
+            problems = [f"{test}: fails without a mutant"
+                        for test in sorted(failed(clean, named))]
+        for index, mutant in enumerate([] if problems else chosen):
+            copy = Path(scratch) / f"mutant{index}"
+            copy_tree(copy)
+            target = copy / "src" / "sweeplog" / mutant.file
+            target.write_text(target.read_text(encoding="utf-8").replace(
+                mutant.old, mutant.new), encoding="utf-8")
+            survived = set(mutant.tests) - failed(copy, mutant.tests)
+            print(f"{'SURVIVED' if survived else 'killed  '} {mutant.name}")
+            problems += [f"{mutant.name}: survives {test}"
+                         for test in sorted(survived)]
+            shutil.rmtree(copy)
+    for problem in problems:
+        print(problem)
+    return 1 if problems else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -485,6 +485,9 @@ def test_checked_in_iso_stamps_take_the_grammar_path():
     # The paper's example: T1 and T2 share interval B (65 min), and T1, T3
     # and T4 share interval C (20 min).
     ("aux", "four_tasks.csv", "four_tasks.aux.csv"),
+    ("aux", "four_tasks.prom.xes", "four_tasks.aux.csv"),
+    ("aux", "four_tasks.iso.csv", "four_tasks.aux.csv"),
+    ("aux", "four_tasks.stamps.csv", "four_tasks.aux.csv"),
     # Names with a comma, a quote, LF, CR and CRLF, as Python 3.13 writes
     # them; every version must write the same bytes.
     ("adjust", "quoted.csv", "quoted.adjusted.csv"),

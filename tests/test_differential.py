@@ -23,7 +23,8 @@ and tie-heavy logs on a small grid of instants, and is kept from calling
 view of the walk ``summarize`` uses, is checked pair by pair against the
 generator it replaced on the same logs; the ``aux``
 file is checked against one ``writerow`` per share, byte for byte, on logs
-whose names need CSV quoting.  The id sweep's points,
+whose names need CSV quoting, and ``write_aux`` on the tie-heavy logs and
+on logs with string ids, one of which needs quoting.  The id sweep's points,
 intervals, shares, ``aux`` file and debug table are checked against the
 object sweep it replaced, and the readers' one sort against the order
 ``validate_log`` gives and against the re-sort of each id 10^k's
@@ -61,6 +62,7 @@ from sweeplog.logio import (
     read_csv,
     read_log,
     read_xes,
+    write_aux,
     write_csv,
     write_log,
     write_xes,
@@ -947,13 +949,33 @@ def test_write_csv_is_the_csv_writer_byte_for_byte(logs, quoted_logs,
         assert fast.read_bytes() == reference.read_bytes()
 
 
-def test_aux_quotes_the_one_name_that_needs_it(logs, tmp_path):
+def with_one_quoted_id(log, char):
+    """The log with string ids, the id of its last share's parent ending in
+    one character to quote."""
+    quoted = adjust_log(log).aux_items[-1].parent_id
+    return make_log([replace(item, id=f"{item.id}{char}" if item.id == quoted
+                             else str(item.id)) for item in log.items])
+
+
+def one_quoted_id_logs(logs):
+    shared = [log for log in logs if adjust_log(log).aux_items]
+    return [with_one_quoted_id(log, char)
+            for log, char in zip(shared, ',"\r\n' * 10)]
+
+
+def test_aux_quotes_the_one_name_that_needs_it(logs, tie_logs, tmp_path):
     source, out = tmp_path / "in.csv", tmp_path / "aux.csv"
     for log in one_quoted_name_logs(logs):
         write_csv(log, source)
         assert run(["aux", "--in", str(source), "--out", str(out)]) == 0
         assert out.read_bytes() == aux_text_by_rows(
             read_csv(source)).encode("utf-8")
+    # A library log's ids may be strings, which csv.writer may quote.
+    quoted_ids = one_quoted_id_logs(logs)
+    assert len(quoted_ids) == 40
+    for log in quoted_ids + tie_logs:
+        write_aux(log, out)
+        assert out.read_bytes() == aux_text_by_rows(log).encode("utf-8")
 
 
 @pytest.mark.parametrize("percentage", [0, 0.1, 0.3, 0.5, 0.7, 1.0])
