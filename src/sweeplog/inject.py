@@ -32,7 +32,7 @@ from .model import (
     WorkItemId,
     _resorted,
     _round_half_up,
-    segments_per_resource,
+    _segments,
 )
 
 
@@ -86,7 +86,7 @@ def _planned(log: EventLog, percentage: float) -> Iterator[tuple]:
         raise ValueError("shift percentage must lie in [0, 1], "
                          f"got {percentage}")
     num, den = Fraction(str(percentage)).as_integer_ratio()  # as typed
-    for segment in segments_per_resource(log):
+    for segment in _segments(log):
         for first, second in find_adjacent_pairs(segment):
             duration = first.end - first.start
             longest = max(duration, second.end - second.start)
@@ -112,13 +112,13 @@ def inject(log: EventLog, percentage: float) -> EventLog:
     activities, resources, and trace structure are preserved.  Percentage
     0 returns an identical log.
     """
-    deltas = {second.id: delta
+    starts = {second.id: second.start - delta  # of the shifted items
               for _, second, delta in _planned(log, percentage)}
     items = [WorkItem(item.id, item.activity, item.resource, item.trace_id,
-                      item.start - deltas[item.id], item.end - deltas[item.id])
-             if item.id in deltas else item for item in log.items]
+                      starts[item.id], item.end - item.start + starts[item.id])
+             if item.id in starts else item for item in log.items]
     # Keys only fall, so only a shifted item can fall below its predecessor.
     # A moved item keeps its duration and starts no earlier than its
     # pair's first, so the log needs no second validation.
     return _resorted(items, (position for position, item
-                             in enumerate(log.items) if item.id in deltas))
+                             in enumerate(log.items) if item.id in starts))

@@ -161,14 +161,15 @@ def format_timestamp(ms: int) -> str:
     return _hour_prefix(hour) + _MM_SS[second] + _MS_UTC[milli]
 
 
-def _assemble(rows: Iterable[_Row]) -> EventLog:
-    # Ids are sequential in canonical row order, so re-reads get identical
-    # ids.  Rows already meet validate_log's rules and order, but that ids
-    # sort as text: consecutive ids differ in text order only across 10^k,
-    # so _resorted checks each id 10^k against its predecessor.
+def _assemble(rows: list[_Row]) -> EventLog:
+    """A reader's log; consumes its list, popping each row as its item is
+    built.  Ids follow canonical row order, so re-reads get equal ids.  Rows
+    meet validate_log's rules and order but that ids sort as text, which
+    _resorted checks at each id 10^k, the only place where it can differ."""
+    rows.sort(reverse=True)  # popped from the end; equal rows are equal
     items = [WorkItem(seq, activity, resource, trace_id, start, end)
-             for seq, (trace_id, start, end, activity, resource)
-             in enumerate(sorted(rows), start=1)]
+             for seq in range(1, len(rows) + 1)
+             for trace_id, start, end, activity, resource in [rows.pop()]]
     return _resorted(items, (10**k - 1  # the index of id 10^k
                              for k in range(1, len(str(len(items))))))
 
@@ -254,14 +255,15 @@ def write_csv(log: EventLog, path: PathLike) -> None:
 def write_aux(log: EventLog, path: PathLike) -> None:
     """Write the fair-share table, one row per ``LogAdjustment.aux_items``."""
     join = _csv_join(log.items)  # names and int ids; a str id may need quotes
-    heads = {item.id: (join if type(item.id) is int else _csv_record)(
-        (str(item.id), item.trace_id, item.activity)) for item in log.items}
     aux_ids = count(1)
     with Path(path).open("w", newline="", encoding="utf-8") as handle:
         handle.write(",".join(AUX_COLUMNS) + "\n")
-        # Each item's "parent_id,case_id,activity" and each interval's
-        # "resource,start,end,portion" are rendered once.
-        for resource, _, cuts in _sweeps(log):
+        # Each item's "parent_id,case_id,activity", built one resource at
+        # a time, and each interval's "resource,start,end,portion" render once.
+        for resource, items, _, cuts in _sweeps(log):
+            heads = {item.id: (join if type(item.id) is int else _csv_record)(
+                (str(item.id), item.trace_id, item.activity))
+                for item in items}
             resource_text = join((resource,))
             for start, end, live in cuts:
                 tail = (f"{resource_text},{format_timestamp(start)},"
@@ -385,8 +387,7 @@ _ESCAPE = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;", '"': "&quot;",
                          "\r": "&#13;", "\n": "&#10;", "\t": "&#09;"})
 
 # Characters outside XML 1.0's Char production; no XML parser reads them.
-_NON_XML = re.compile(
-    r"[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
+_NON_XML = re.compile(r"[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
 
 
 def write_xes(log: EventLog, path: PathLike) -> None:

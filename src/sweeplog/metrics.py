@@ -182,11 +182,14 @@ def summarize(log: EventLog) -> MetricsReport:
     """Compute every index plus the summary counts in one pass."""
     mtri_all: dict[str, float] = {}
     mtri_over: dict[str, float] = {}
-    overlapped: dict[object, str] = {}  # item id -> activity
-    total_pairs = 0
+    tasks: set[str] = set()
+    events = total_pairs = 0
     for resource, group in _by_resource(log.items).items():
         items = sorted(group, key=attrgetter("start"))
+        overlapped: dict[object, str] = {}  # item id -> activity
         mtri_all[resource], restricted, pairs = _means(items, overlapped)
+        events += len(overlapped)  # no item is in two resources
+        tasks.update(overlapped.values())
         total_pairs += pairs
         if restricted is not None:
             mtri_over[resource] = restricted
@@ -198,8 +201,8 @@ def summarize(log: EventLog) -> MetricsReport:
         mtri_all=mtri_all,
         mtri_overlapped=mtri_over,
         counts=SummaryCounts(
-            tasks_multitasked=len(set(overlapped.values())),
-            events_overlapped=len(overlapped),
+            tasks_multitasked=len(tasks),
+            events_overlapped=events,
             resources_multitasking=len(mtri_over),
             pairs_overlapped=total_pairs,
         ),

@@ -181,11 +181,14 @@ def segments_per_resource(log: EventLog) -> list[ResourceSegment]:
     sorted by resource name and their items by (start, end, id).  Ids
     compare as text, so id 10 sorts before 9.
     """
-    segments = []
+    return list(_segments(log))
+
+
+def _segments(log: EventLog) -> Iterator[ResourceSegment]:
+    # segments_per_resource's segments, each built as it is asked for.
     for resource, items in _by_resource(log.items).items():
         ordered = sorted(items, key=lambda w: (w.start, w.end, _id_key(w.id)))
-        segments.append(ResourceSegment(resource=resource, items=tuple(ordered)))
-    return segments
+        yield ResourceSegment(resource=resource, items=tuple(ordered))
 
 
 def _by_resource(items: Iterable[WorkItem]) -> dict[str, list[WorkItem]]:

@@ -6,12 +6,13 @@ evenly among the items live over it (processor sharing): one virtual clock
 per resource advances by span / live between consecutive boundaries, and
 an item's adjusted duration, the exact sum of its shares, is the clock's
 advance from its start to its end; a resource's durations add up to the
-measure of its busy time.  Ends come from ``_clocks``, which needs no ids:
-a clock counts 1/D ms, D the lcm of the live counts, so all arithmetic is
-exact.  A resource that never runs two items at once needs no clock: each
-advance is the item's duration.  The id sweep, ``_bounds`` then ``_cut``,
-gives the shares, the ``aux`` table, the debug table and the views of the
-point, interval and share builders.  Exact ends and shares come on request.
+measure of its busy time.  Ends come from ``_clock``, per resource, with
+no ids: a clock counts 1/D ms, D the lcm of the live counts, so all
+arithmetic is exact.  A resource that never runs two items at once needs
+no clock: each advance is the item's duration.  The id sweep, ``_bounds``
+then ``_cut``, gives the shares, the ``aux`` table, the debug table and the
+views of the point, interval and share builders.  Exact ends and shares
+come on request.
 """
 
 from __future__ import annotations
@@ -131,7 +132,7 @@ class LogAdjustment:
     def aux_by_resource(self) -> Mapping[str, tuple[AuxWorkItem, ...]]:
         ids = count(1)
         return {resource: tuple(_shares(cuts, ids))
-                for resource, _, cuts in _sweeps(self.source)}
+                for resource, _, _, cuts in _sweeps(self.source)}
 
     @property
     def aux_items(self) -> tuple[AuxWorkItem, ...]:
@@ -211,37 +212,37 @@ def _shares(cuts: Iterable[_Cut], ids: Iterator[int]) -> Iterator[AuxWorkItem]:
             yield AuxWorkItem(next(ids), start, end, wiid, portion)
 
 
-def _sweeps(log: EventLog
-            ) -> Iterator[tuple[str, list[_Bound], Iterator[_Cut]]]:
-    # Per resource by name: bounds, and lazy cuts, of positive-duration items.
+def _sweeps(log: EventLog) -> Iterator[
+        tuple[str, list[WorkItem], list[_Bound], Iterator[_Cut]]]:
+    # Per resource by name: items, then bounds and lazy cuts of non-instants.
     for resource, items in _by_resource(log.items).items():
         bounds = _bounds(item for item in items if item.end > item.start)
-        yield resource, bounds, _cut(bounds)
+        yield resource, items, bounds, _cut(bounds)
+
+
+def _clock(items: list[WorkItem]) -> tuple[int, dict[Instant, int]] | None:
+    """One resource's D = lcm(lives) and D * clock per boundary, or None
+    when its live count never passes 1: then every end stays."""
+    # Net live-count change per boundary; an instantaneous item's nets to 0.
+    change: dict[Instant, int] = {}
+    for item in items:
+        change[item.start] = change.get(item.start, 0) + 1
+        change[item.end] = change.get(item.end, 0) - 1
+    times = sorted(change)
+    lives = list(accumulate(change[time] for time in times))
+    if max(lives) <= 1:
+        return None
+    scale = lcm(*set(lives) - {0})
+    # From each boundary to the next, the clock gains gap * D / live.
+    gains = ((after - time) * (scale // live) if live else 0
+             for time, after, live in zip(times, times[1:], lives))
+    return scale, dict(zip(times, accumulate(gains, initial=0)))
 
 
 def _clocks(log: EventLog) -> dict[str, tuple[int, dict[Instant, int]]]:
-    """Per multitasking resource, D = lcm(lives) and D * clock per boundary."""
-    # Net live-count change per boundary; an instantaneous item's nets to 0.
-    changes: dict[str, dict[Instant, int]] = {}
-    for item in log.items:
-        change = changes.setdefault(item.resource, {})
-        change[item.start] = change.get(item.start, 0) + 1
-        change[item.end] = change.get(item.end, 0) - 1
-    clocks: dict[str, tuple[int, dict[Instant, int]]] = {}
-    while changes:  # each table is dropped once its clock needs it no more
-        resource, change = changes.popitem()
-        times = sorted(change)
-        lives = list(accumulate(change[time] for time in times))
-        del change
-        if max(lives) <= 1:  # it never multitasks: every end stays
-            continue
-        scale = lcm(*set(lives) - {0})
-        # From each boundary to the next, the clock gains gap * D / live.
-        gains = ((after - time) * (scale // live) if live else 0
-                 for time, after, live in zip(times, times[1:], lives))
-        clock = accumulate(gains, initial=0)
-        clocks[resource] = scale, dict(zip(times, clock))
-    return clocks
+    """Per multitasking resource, its ``_clock``."""
+    return {resource: clocked for resource, items in
+            _by_resource(log.items).items() if (clocked := _clock(items))}
 
 
 def adjust_log(log: EventLog) -> LogAdjustment:
@@ -253,20 +254,22 @@ def adjust_log(log: EventLog) -> LogAdjustment:
     a resource that never runs two items at once, which gets no clock.
     Length, ids, traces, activities, resources and starts stay the same.
     """
-    clocks = _clocks(log)
-    coalesced = []
-    for item in log.items:
-        if clocked := clocks.get(item.resource):  # else its end stays
+    ends: dict[WorkItemId, Instant] = {}  # of the items whose end moves
+    for items in _by_resource(log.items).values():
+        if clocked := _clock(items):  # else every end stays
             scale, clock = clocked
-            end = item.start + _round_half_up(
-                clock[item.end] - clock[item.start], scale)
-            if end != item.end:
-                item = WorkItem(item.id, item.activity, item.resource,
-                                item.trace_id, item.start, end)
-        coalesced.append(item)
+            for item in items:
+                end = item.start + _round_half_up(
+                    clock[item.end] - clock[item.start], scale)
+                if end != item.end:
+                    ends[item.id] = end
+    # Items are built in log order, which later walks follow in memory.
     # Ids, trace ids and starts come from a validated log and no end falls
     # below its start, so validating again could change no order.
-    return LogAdjustment(EventLog(tuple(coalesced)), source=log)
+    return LogAdjustment(EventLog(tuple([
+        WorkItem(item.id, item.activity, item.resource, item.trace_id,
+                 item.start, ends[item.id]) if item.id in ends else item
+        for item in log.items])), source=log)
 
 
 def _format_number(value: Fraction) -> str:
@@ -283,7 +286,7 @@ def format_adjustment_table(log: EventLog) -> str:
     decimals.
     """
     lines: list[str] = []
-    for resource, bounds, lazy_cuts in _sweeps(log):
+    for resource, _, bounds, lazy_cuts in _sweeps(log):
         cuts = list(lazy_cuts)  # walked twice below
         point_text = ", ".join(
             f"({time}, {wiid}, '{PLUS if plus else MINUS}')"

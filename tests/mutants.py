@@ -43,6 +43,7 @@ DIFF = "tests/test_differential.py"
 GOLDEN = f"{CLI}::test_outputs_match_the_checked_in_golden_files"
 LOOKUP = "tests/test_logio.py::TestTimestampLookup"
 METRICS = "tests/test_metrics.py"
+READ_PEAK = "tests/test_logio.py::test_a_read_peaks_near_what_it_retains"
 
 MUTANTS = (
     Mutant("stamps skip the ISO-8601 grammar", "logio.py",
@@ -89,16 +90,32 @@ MUTANTS = (
            "        handle.write(_XES_HEAD)",
            (f"{CLI}::test_every_writer_opens_its_file_without_newline_"
             "translation",)),
+    Mutant("_assemble keeps every row until the last item", "logio.py",
+           "    rows.sort(reverse=True)  # popped from the end; equal rows are"
+           " equal\n"
+           "    items = [WorkItem(seq, activity, resource, trace_id, start,"
+           " end)\n"
+           "             for seq in range(1, len(rows) + 1)\n"
+           "             for trace_id, start, end, activity, resource in"
+           " [rows.pop()]]",
+           "    items = [WorkItem(seq, activity, resource, trace_id, start,"
+           " end)\n"
+           "             for seq, (trace_id, start, end, activity, resource)\n"
+           "             in enumerate(sorted(rows), start=1)]",
+           (f"{READ_PEAK}[csv]", f"{READ_PEAK}[xes]")),
     Mutant("read_csv keeps a string per case id", "logio.py",
            "rows.append((one(case_id, case_id), start, end,",
            "rows.append((case_id, start, end,",
            ("tests/test_logio.py::TestNamesHeldOnce::test_equal_names_are_one_"
             "object[csv]",)),
-    Mutant("_clocks keeps every change table", "sweep.py",
-           "    while changes:  # each table is dropped once its clock needs"
-           " it no more\n        resource, change = changes.popitem()",
-           "    for resource, change in list(changes.items()):",
-           (f"{ADJUST}::test_clocks_peak_near_what_they_retain",)),
+    Mutant("adjust_log builds every clock before any item", "sweep.py",
+           "    for items in _by_resource(log.items).values():\n"
+           "        if clocked := _clock(items):",
+           "    clocks = [(items, _clock(items))\n"
+           "              for items in _by_resource(log.items).values()]\n"
+           "    for items, clocked in clocks:\n"
+           "        if clocked:",
+           (f"{ADJUST}::test_adjust_holds_one_resource_clock_at_a_time",)),
     Mutant("clocks skip resources with two live items", "sweep.py",
            "if max(lives) <= 1:", "if max(lives) <= 2:",
            (f"{ADJUST}::test_identical_spans_split_evenly",
@@ -121,6 +138,40 @@ MUTANTS = (
            "(join if type(item.id) is int else _csv_record)(",
            '(join if type(item.id) is int else ",".join)(',
            (f"{DIFF}::test_aux_quotes_the_one_name_that_needs_it",)),
+    Mutant("write_aux renders every head up front", "logio.py",
+           "        for resource, items, _, cuts in _sweeps(log):\n"
+           "            heads = {item.id: (join if type(item.id) is int"
+           " else _csv_record)(\n"
+           "                (str(item.id), item.trace_id, item.activity))\n"
+           "                for item in items}",
+           "        heads = {item.id: (join if type(item.id) is int"
+           " else _csv_record)(\n"
+           "            (str(item.id), item.trace_id, item.activity))\n"
+           "            for item in log.items}\n"
+           "        for resource, items, _, cuts in _sweeps(log):",
+           ("tests/test_logio.py::test_write_aux_renders_one_resource_of_"
+            "heads_at_a_time",)),
+    Mutant("summarize keeps one overlapped dict", "metrics.py",
+           "    tasks: set[str] = set()\n"
+           "    events = total_pairs = 0\n"
+           "    for resource, group in _by_resource(log.items).items():\n"
+           "        items = sorted(group, key=attrgetter(\"start\"))\n"
+           "        overlapped: dict[object, str] = {}  # item id -> activity"
+           "\n"
+           "        mtri_all[resource], restricted, pairs = _means(items,"
+           " overlapped)\n"
+           "        events += len(overlapped)  # no item is in two resources\n"
+           "        tasks.update(overlapped.values())\n",
+           "    overlapped: dict[object, str] = {}  # item id -> activity\n"
+           "    total_pairs = 0\n"
+           "    for resource, group in _by_resource(log.items).items():\n"
+           "        items = sorted(group, key=attrgetter(\"start\"))\n"
+           "        mtri_all[resource], restricted, pairs = _means(items,"
+           " overlapped)\n"
+           "        events, tasks = len(overlapped), set(overlapped.values())"
+           "\n",
+           (f"{METRICS}::TestSummarize::test_counts_hold_one_resource_of_"
+            "overlapped_items",)),
 )
 
 

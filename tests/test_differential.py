@@ -597,7 +597,7 @@ def test_assemble_equals_the_power_group_reference_across_10_k(rows,
                                                                crossings):
     rows = list(rows)
     random.Random(len(rows)).shuffle(rows)
-    assembled = _assemble(rows)
+    assembled = _assemble(list(rows))
     assert assembled == assemble_by_power_groups(rows)
     assert text_order_groups(assembled) == crossings
     assert assembled == model._ordered(assembled.items)
