@@ -6,13 +6,13 @@ evenly among the items live over it (processor sharing): one virtual clock
 per resource advances by span / live between consecutive boundaries, and
 an item's adjusted duration, the exact sum of its shares, is the clock's
 advance from its start to its end; a resource's durations add up to the
-measure of its busy time.  Ends come from ``_clock``, per resource, with
-no ids: a clock counts 1/D ms, D the lcm of the live counts, so all
-arithmetic is exact.  A resource that never runs two items at once needs
-no clock: each advance is the item's duration.  The id sweep, ``_bounds``
-then ``_cut``, gives the shares, the ``aux`` table, the debug table and the
-views of the point, interval and share builders.  Exact ends and shares
-come on request.
+measure of its busy time.  ``_advances`` walks one resource's clock at a
+time, with no ids, and gives both the rounded and the exact ends: a clock
+counts 1/D ms, D the lcm of the live counts, so all arithmetic is exact.
+A resource that never runs two items at once needs no clock: each advance
+is the item's duration.  The id sweep, ``_bounds`` then ``_cut``, gives
+the shares, the ``aux`` table, the debug table and the views of the point,
+interval and share builders.  Exact ends and shares come on request.
 """
 
 from __future__ import annotations
@@ -108,9 +108,10 @@ class LogAdjustment:
     """Result of adjusting a log; exact ends and shares come on request.
 
     ``coalesced`` has one item per input item, ends rounded to whole ms.
-    ``coalesced_exact`` carries the unrounded ends and ``aux_by_resource``
-    groups shares by resource in name order, share ids sequential from 1
-    across the whole run; both are computed from ``source`` on first access.
+    On first access, from ``source``: ``coalesced_exact`` holds the exact
+    ends, built one resource's clock at a time, and ``aux_by_resource`` the
+    shares by resource in name order, share ids sequential from 1 across
+    the whole run.
     """
 
     coalesced: EventLog
@@ -118,15 +119,12 @@ class LogAdjustment:
 
     @cached_property
     def coalesced_exact(self) -> tuple[CoalescedItem, ...]:
-        clocks = _clocks(self.source)
-
-        def exact(item: WorkItem) -> CoalescedItem:
-            scale, clock = clocks.get(item.resource, (1, None))
-            end = Fraction(item.end) if clock is None else item.start + (
-                Fraction(clock[item.end] - clock[item.start], scale))
-            return CoalescedItem(item.id, item.activity, item.resource,
-                                 item.trace_id, item.start, end)
-        return tuple(map(exact, self.source.items))
+        ends = {item.id: item.start + Fraction(advance, scale)
+                for item, advance, scale in _advances(self.source)}
+        return tuple(CoalescedItem(
+            item.id, item.activity, item.resource, item.trace_id, item.start,
+            ends[item.id] if item.id in ends else Fraction(item.end))
+            for item in self.source.items)
 
     @cached_property
     def aux_by_resource(self) -> Mapping[str, tuple[AuxWorkItem, ...]]:
@@ -220,29 +218,26 @@ def _sweeps(log: EventLog) -> Iterator[
         yield resource, items, bounds, _cut(bounds)
 
 
-def _clock(items: list[WorkItem]) -> tuple[int, dict[Instant, int]] | None:
-    """One resource's D = lcm(lives) and D * clock per boundary, or None
-    when its live count never passes 1: then every end stays."""
-    # Net live-count change per boundary; an instantaneous item's nets to 0.
-    change: dict[Instant, int] = {}
-    for item in items:
-        change[item.start] = change.get(item.start, 0) + 1
-        change[item.end] = change.get(item.end, 0) - 1
-    times = sorted(change)
-    lives = list(accumulate(change[time] for time in times))
-    if max(lives) <= 1:
-        return None
-    scale = lcm(*set(lives) - {0})
-    # From each boundary to the next, the clock gains gap * D / live.
-    gains = ((after - time) * (scale // live) if live else 0
-             for time, after, live in zip(times, times[1:], lives))
-    return scale, dict(zip(times, accumulate(gains, initial=0)))
-
-
-def _clocks(log: EventLog) -> dict[str, tuple[int, dict[Instant, int]]]:
-    """Per multitasking resource, its ``_clock``."""
-    return {resource: clocked for resource, items in
-            _by_resource(log.items).items() if (clocked := _clock(items))}
+def _advances(log: EventLog) -> Iterator[tuple[WorkItem, int, int]]:
+    """Per multitasking resource by name, each item with D times its clock
+    advance and D = lcm(lives); one resource's clock lives at a time."""
+    for items in _by_resource(log.items).values():
+        # Net live-count change per boundary; an instant's nets to 0.
+        change: dict[Instant, int] = {}
+        for item in items:
+            change[item.start] = change.get(item.start, 0) + 1
+            change[item.end] = change.get(item.end, 0) - 1
+        times = sorted(change)
+        lives = list(accumulate(change[time] for time in times))
+        if max(lives) <= 1:
+            continue  # no clock: every end stays
+        scale = lcm(*set(lives) - {0})
+        # From each boundary to the next, the clock gains gap * D / live.
+        gains = ((after - time) * (scale // live) if live else 0
+                 for time, after, live in zip(times, times[1:], lives))
+        clock = dict(zip(times, accumulate(gains, initial=0)))
+        for item in items:
+            yield item, clock[item.end] - clock[item.start], scale
 
 
 def adjust_log(log: EventLog) -> LogAdjustment:
@@ -255,14 +250,9 @@ def adjust_log(log: EventLog) -> LogAdjustment:
     Length, ids, traces, activities, resources and starts stay the same.
     """
     ends: dict[WorkItemId, Instant] = {}  # of the items whose end moves
-    for items in _by_resource(log.items).values():
-        if clocked := _clock(items):  # else every end stays
-            scale, clock = clocked
-            for item in items:
-                end = item.start + _round_half_up(
-                    clock[item.end] - clock[item.start], scale)
-                if end != item.end:
-                    ends[item.id] = end
+    for item, advance, scale in _advances(log):
+        if (end := item.start + _round_half_up(advance, scale)) != item.end:
+            ends[item.id] = end
     # Items are built in log order, which later walks follow in memory.
     # Ids, trace ids and starts come from a validated log and no end falls
     # below its start, so validating again could change no order.

@@ -108,14 +108,30 @@ MUTANTS = (
            "rows.append((case_id, start, end,",
            ("tests/test_logio.py::TestNamesHeldOnce::test_equal_names_are_one_"
             "object[csv]",)),
-    Mutant("adjust_log builds every clock before any item", "sweep.py",
-           "    for items in _by_resource(log.items).values():\n"
-           "        if clocked := _clock(items):",
-           "    clocks = [(items, _clock(items))\n"
-           "              for items in _by_resource(log.items).values()]\n"
-           "    for items, clocked in clocks:\n"
-           "        if clocked:",
-           (f"{ADJUST}::test_adjust_holds_one_resource_clock_at_a_time",)),
+    Mutant("adjust_log builds every clock and change table before any"
+           " item", "sweep.py",
+           "        clock = dict(zip(times, accumulate(gains, initial=0)))\n"
+           "        for item in items:\n"
+           "            yield item, clock[item.end] - clock[item.start],"
+           " scale",
+           "        log = log, items, scale, change, dict(zip(times,"
+           " accumulate(\n"
+           "            gains, initial=0)))\n"
+           "    walk = log  # the head keeps every clock alive to the end\n"
+           "    while type(walk) is tuple:\n"
+           "        walk, items, scale, change, clock = walk\n"
+           "        for item in items:\n"
+           "            yield item, clock[item.end] - clock[item.start],"
+           " scale",
+           (f"{ADJUST}::test_adjust_holds_one_resource_clock_at_a_time",
+            f"{ADJUST}::test_exact_ends_peak_near_what_they_retain")),
+    Mutant("coalesced_exact keeps every clock and change table alive",
+           "sweep.py",
+           "        clock = dict(zip(times, accumulate(gains, initial=0)))\n",
+           "        clock = dict(zip(times, accumulate(gains, initial=0)))\n"
+           "        log = log, change, clock  # alive until the walk ends\n",
+           (f"{ADJUST}::test_exact_ends_peak_near_what_they_retain",
+            f"{ADJUST}::test_adjust_holds_one_resource_clock_at_a_time")),
     Mutant("clocks skip resources with two live items", "sweep.py",
            "if max(lives) <= 1:", "if max(lives) <= 2:",
            (f"{ADJUST}::test_identical_spans_split_evenly",
@@ -125,8 +141,8 @@ MUTANTS = (
            "if max(lives) <= 1:", "if max(lives) < 1:",
            (f"{ADJUST}::test_a_log_without_overlap_builds_no_clock",)),
     Mutant("exempt exact ends at the start", "sweep.py",
-           "end = Fraction(item.end) if clock is None",
-           "end = Fraction(item.start) if clock is None",
+           "ends[item.id] if item.id in ends else Fraction(item.end)",
+           "ends[item.id] if item.id in ends else Fraction(item.start)",
            (f"{DIFF}::test_adjust_equals_the_clock_on_every_resource",
             f"{ADJUST}::test_a_log_without_overlap_builds_no_clock")),
     Mutant("write_aux floors each portion", "logio.py",
