@@ -37,16 +37,25 @@ shifted log again, and is kept from building a ``PlannedShift`` or calling
 ``_ordered``.  The ISO-8601 grammar with ``fromisoformat`` is checked
 against the converter that built each instant from the grammar's groups, on
 27,000 stamps that include the forms the C parser of Python 3.11+ misreads.
+The slotted ``WorkItem`` is checked against the frozen dataclass with a
+``__dict__`` that it replaced, on the fields of every item of the three
+corpora: repr, fields, hash, ``replace``, pickle, copy, keyword calls and
+the refusal to set or delete a field.
 """
 
+import copy
 import csv
+import dataclasses
 import importlib
+import inspect
 import io
+import pickle
 import random
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, astuple, replace
 from datetime import datetime
 from itertools import product
 from math import lcm
+from operator import attrgetter
 
 import pytest
 
@@ -90,6 +99,7 @@ from sweeplog.sweep import (
 )
 
 from helpers import (
+    WorkItemByDict,
     adjacent_pairs_by_rescan,
     adjust_by_clock_on_every_resource,
     adjustment_table_by_objects,
@@ -1083,3 +1093,48 @@ def test_iso_8601_grammar_with_fromisoformat_equals_the_group_converter():
         assert outcome(parse_timestamp, text) == ms, text
         read += ms is not ValueError
     assert read > 2_000  # the corpus is not all refusals
+
+
+def refuses(change):
+    try:
+        change()
+    except FrozenInstanceError:
+        return True
+    return False
+
+
+def test_slotted_work_item_equals_the_dict_reference(logs, crowded_logs,
+                                                     tie_logs):
+    names = [field.name for field in dataclasses.fields(WorkItem)]
+    assert names == [field.name for field in dataclasses.fields(
+        WorkItemByDict)]
+    assert list(inspect.signature(WorkItem).parameters) == names
+    values_of = attrgetter(*names)
+    rows = [values_of(item)
+            for log in logs + crowded_logs + tie_logs for item in log]
+    assert len(rows) > 10_000
+    news = [WorkItem(*values) for values in rows]
+    olds = [WorkItemByDict(*values) for values in rows]
+    for new, old, values in zip(news, olds, rows):
+        assert new == WorkItem(**dict(zip(names, values)))
+        assert repr(new) == "WorkItem" + repr(old).removeprefix(
+            "WorkItemByDict")
+        assert astuple(new) == astuple(old) == values
+        assert (hash(new), new.duration) == (hash(old), old.duration)
+        moved = replace(new, end=new.end + 1)
+        assert type(moved) is WorkItem
+        assert values_of(moved) == values_of(replace(old, end=old.end + 1))
+        again = copy.copy(new)
+        assert type(again) is WorkItem and again == new
+        assert values_of(again) == values_of(copy.copy(old))
+        assert all(refuses(lambda: setattr(item, name, None))
+                   and refuses(lambda: delattr(item, name))
+                   for item in (new, old) for name in names)
+    unpickled = pickle.loads(pickle.dumps(news))
+    assert all(type(new) is WorkItem for new in unpickled)
+    assert unpickled == news
+    assert list(map(values_of, unpickled)) == list(map(
+        values_of, pickle.loads(pickle.dumps(olds))))
+    assert vars(olds[0]) == dict(zip(names, rows[0]))
+    with pytest.raises(TypeError):  # the one change: no __dict__
+        vars(news[0])

@@ -11,18 +11,24 @@ quadratically with the live count on nested logs.  The span gate times
 ``parse_timestamp`` the same way on 40,000 written-form stamps within one
 month and 40,000 spread over 1990-2030, and the wide set must cost less
 than 1.5x the narrow one: a cache of days would miss on the wide set.
+The construction gate builds 20,000 items through ``WorkItem`` and through
+a slotted copy that keeps the generated ``__init__``, the same way, and
+``WorkItem`` must take less than 0.8x the copy's time: the generated
+``__init__`` calls ``object.__setattr__`` once per field.
 """
 
 import gc
 import random
 import time
+from dataclasses import fields, make_dataclass
+from operator import attrgetter
 
 import pytest
 
 from sweeplog.inject import inject
 from sweeplog.logio import (format_timestamp, parse_timestamp, read_csv,
                             read_xes, write_csv, write_xes)
-from sweeplog.model import segments_per_resource
+from sweeplog.model import WorkItem, segments_per_resource
 
 from helpers import CHAIN_RESOURCES, chain_log
 
@@ -93,6 +99,24 @@ def test_parse_timestamp_costs_the_same_over_any_span():
             best[name] = min(best[name], time.process_time() - began)
     ratio = best["decades"] / best["month"]
     assert ratio < 1.5, f"1990-2030 took {ratio:.2f}x one month"
+
+
+def test_work_items_build_through_their_slots():
+    generated = make_dataclass(
+        "WorkItem", [(field.name, field.type) for field in fields(WorkItem)],
+        frozen=True, slots=True)
+    values = attrgetter(*generated.__slots__)
+    rows = [values(item) for item in chain_log(20_000).items]
+    best = {WorkItem: float("inf"), generated: float("inf")}
+    for _ in range(ROUNDS):
+        for kind in best:
+            gc.collect()
+            began = time.process_time()
+            built = [kind(*row) for row in rows]
+            best[kind] = min(best[kind], time.process_time() - began)
+            del built  # freed outside the timed build
+    ratio = best[WorkItem] / best[generated]
+    assert ratio < 0.8, f"WorkItem took {ratio:.2f}x the generated __init__"
 
 
 def test_the_chain_log_is_adjacent():

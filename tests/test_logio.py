@@ -902,6 +902,15 @@ class TestNamesHeldOnce:
         assert len(log) == count
         assert retained / count < 300
 
+    def test_a_read_log_retains_under_220_bytes_per_item(self, tmp_path, fmt):
+        # Slotted items hold their six fields without a __dict__: 249-250 B
+        # an item with one, 201-202 B without (Python 3.11).
+        path = tmp_path / f"chain.{fmt}"
+        write_log(chain_log(20_000), fmt, path)
+        log, retained, _ = traced_peak(lambda: read_log(path))
+        assert len(log) == 20_000
+        assert retained / len(log) < 220
+
 
 @pytest.mark.parametrize("fmt", FORMATS)
 def test_a_read_peaks_near_what_it_retains(tmp_path, fmt):

@@ -1,4 +1,5 @@
 import random
+from collections import deque
 from dataclasses import replace
 from fractions import Fraction
 
@@ -285,6 +286,14 @@ class TestAdjustLog:
         assert sum(out is not item for out, item in zip(
             adjusted.coalesced.items, log.items, strict=True)) == 20_000
         assert peak - retained < 80 * len(log)
+
+    def test_the_clock_walk_holds_one_clock(self):
+        # The walk alone, with no output built after it to outweigh the
+        # clocks: one resource's clock at a time peaked 12.6 B an item;
+        # every clock dict kept to the end of the walk, 168 B (Python 3.11).
+        log = chain_log(20_000, resources=200, stretch=30_000)
+        _, _, peak = traced_peak(lambda: deque(_advances(log), maxlen=0))
+        assert peak < 40 * len(log)
 
 
 class TestSweepProperties:
