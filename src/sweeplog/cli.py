@@ -103,7 +103,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
+        return exc.code  # argparse exits with 0 or 2
     try:
         log = read_log(args.input, args.format)
         if args.debug_table:

@@ -132,8 +132,8 @@ def overlapped_pairs(segment: ResourceSegment) -> list[PairOverlap]:
 def _means(items: Sequence[WorkItem],
            overlapped: dict) -> tuple[float, Optional[float], int]:
     """(MTRI, MTRI_overlapped, overlapped pairs) of one resource's items in
-    start order.  An item is overlapped, and goes into ``overlapped``, when
-    ``_overlaps`` yields it or its end passes the next start."""
+    start order.  Each item ``_overlaps`` yields goes into ``overlapped``
+    with its predecessor, which began the cluster if not yielded itself."""
     pairs = 0
 
     def ratio_lists() -> Iterator[list[float]]:
@@ -145,8 +145,7 @@ def _means(items: Sequence[WorkItem],
             yield [((e if e < end else end) - start)
                    / (d if d > duration else duration) for e, d, _ in live]
             overlapped[item.id] = item.activity
-            if previous.end > start:
-                overlapped[previous.id] = previous.activity
+            overlapped[previous.id] = previous.activity
 
     total = fsum(chain.from_iterable(ratio_lists()))
     if not pairs:

@@ -263,8 +263,6 @@ def adjust_log(log: EventLog) -> LogAdjustment:
 
 
 def _format_number(value: Fraction) -> str:
-    if value.denominator == 1:
-        return str(value.numerator)
     return f"{float(value):.2f}".rstrip("0").rstrip(".")
 
 

@@ -2,8 +2,10 @@ import builtins
 import csv
 import io
 import json
+import subprocess
 import sys
 import tracemalloc
+from itertools import chain
 from pathlib import Path
 
 import pytest
@@ -242,6 +244,31 @@ class TestUsage:
         assert run(["--help"]) == 0
         assert "adjust" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("missing", ["--in", "--out"])
+    def test_adjust_needs_in_and_out(self, clean_csv, tmp_path, missing):
+        given = {"--in": str(clean_csv), "--out": str(tmp_path / "out.csv")}
+        del given[missing]
+        assert run(["adjust", *chain.from_iterable(given.items())]) == 2
+
+    def test_an_unknown_format_is_a_usage_error(self, clean_csv, capsys):
+        assert run(["metrics", "--in", str(clean_csv), "--format",
+                    "json"]) == 2
+        assert "invalid choice: 'json'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fault", ["out in a missing directory",
+                                       "in names a directory"])
+    def test_a_path_it_cannot_open_is_an_io_error(self, clean_csv, tmp_path,
+                                                 capsys, fault):
+        source, out = clean_csv, tmp_path / "missing" / "out.csv"
+        if fault == "in names a directory":
+            source, out = tmp_path / "logs.csv", tmp_path / "out.csv"
+            source.mkdir()
+        assert run(["adjust", "--in", str(source), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("sweeplog: error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert not out.exists()
+
 
 class TestFormatOverride:
     def test_format_flag_beats_extension(self, tmp_path):
@@ -270,6 +297,15 @@ class TestMain:
             main()
         assert exited.value.code == status
         assert run(["metrics", "--in", str(path)]) == status
+
+    def test_the_module_runs_as_a_script(self, clean_csv):
+        done = subprocess.run(
+            [sys.executable, "-m", "sweeplog.cli", "metrics", "--in",
+             str(clean_csv)], capture_output=True, text=True,
+            cwd=Path(cli.__file__).parents[1])
+        report = report_to_json(summarize(read_csv(clean_csv)))
+        assert (done.returncode, done.stdout, done.stderr) == (
+            0, report + "\n", "")
 
 
 class TestReadersAreTheOnlyCheck:

@@ -1000,6 +1000,17 @@ class TestXesRoundTrip:
         assert starts[-2:] == ["T10", "T9"]
         assert read_xes(path) == log
 
+    def test_a_trace_s_events_are_written_in_time_order(self, tmp_path):
+        # Re-reading pairs a start with the first complete after it, so a
+        # file in item order would read back equal too; the stamps show it.
+        log = make_log([wi(1, 0, 10), wi(2, 5, 8)])
+        path = tmp_path / "nested.xes"
+        write_xes(log, path)
+        stamps = [parse_timestamp(stamp.get("value"))
+                  for stamp in ET.parse(path).iter("date")]
+        assert stamps == [0, 5, 8, 10]
+        assert read_xes(path) == log
+
 
 # Names holding every character ElementTree escapes in an attribute, a
 # quote it leaves alone, and a non-ASCII letter.

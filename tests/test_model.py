@@ -1,14 +1,28 @@
+from dataclasses import FrozenInstanceError, fields
+from fractions import Fraction
+
 import pytest
 
+from sweeplog.inject import PlannedShift, ShiftPlan
+from sweeplog.metrics import PairOverlap, SummaryCounts
 from sweeplog.model import (
     FIRST_INSTANT,
     LAST_INSTANT,
+    EventLog,
     LogValidationError,
+    ResourceSegment,
     WorkItem,
     _ordered,
     _resorted,
     segments_per_resource,
     validate_log,
+)
+from sweeplog.sweep import (
+    ActiveInterval,
+    AuxWorkItem,
+    CoalescedItem,
+    LogAdjustment,
+    TimePoint,
 )
 
 from helpers import four_task_items, four_task_log, make_log, wi
@@ -92,6 +106,33 @@ class TestValidateLog:
         log = four_task_log()
         again = validate_log(log.items)
         assert again == log
+
+    def test_a_one_shot_iterator_gives_the_log_of_its_list(self):
+        items = four_task_items()
+        assert validate_log(item for item in items) == validate_log(items)
+
+    def test_the_message_joins_every_problem(self):
+        problems = ["item 'a': missing resource", "item 'b': duplicate id"]
+        assert str(LogValidationError(problems)) == (
+            "invalid event log: item 'a': missing resource; "
+            "item 'b': duplicate id")
+
+
+LOG = EventLog(())
+RECORDS = [
+    TimePoint(0, "a", "+"), ActiveInterval(0, 1, ("a",)),
+    AuxWorkItem(1, 0, 1, "a", Fraction(1)),
+    CoalescedItem("a", "T", "R", "c", 0, Fraction(1)), LogAdjustment(LOG, LOG),
+    PairOverlap("a", "b", 0.5), SummaryCounts(0, 0, 0, 0), LOG,
+    ResourceSegment("R", ()), PlannedShift("a", "b", 1), ShiftPlan(0.5, ()),
+]
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=lambda r: type(r).__name__)
+def test_public_records_are_frozen(record):
+    name = fields(record)[0].name
+    with pytest.raises(FrozenInstanceError):
+        setattr(record, name, getattr(record, name))
 
 
 class TestSegmentsPerResource:
