@@ -1,28 +1,13 @@
-"""Mutants of ``src/`` that named tests must keep killing.
+"""Mutants of ``src/`` that tests must kill: a hand list and a survey.
 
-Run from anywhere: ``python tests/mutants.py [NAME ...]`` (pytest must
-be installed; names pick mutants, all by default).  Each mutant is one
-exact text in one file of ``src/sweeplog`` and its replacement.  For each,
-``src/``, ``tests/`` and ``pyproject.toml`` are copied to a temporary
-directory, the text, which must occur exactly once, is replaced, and
-pytest runs the mutant's tests there; every one of them must fail.
-pyproject.toml's ``pythonpath = ["src"]`` goes ahead of ``PYTHONPATH``, so
-a mutated copy is tested only by a pytest that runs inside the copy.
-Before any mutant, the named tests must pass on an unmutated copy.
-
-The exit status is 1 if an old text is missing or repeated, an entry of
-``EQUIVALENTS`` names no site, a named test does not pass unmutated, or a
-mutant survives one of its tests.  A change that moves mutated code
-updates the old text here; a change that claims a test fails without it
-adds that mutant here.
-
-``python tests/mutants.py --survey [MODULE ...]`` surveys modules of
-``src/sweeplog`` instead, all six by default: it makes every mutant that
-``sites`` finds, runs each against the module's test files in ``SURVEY``
-with ``-x``, and exits 1 on a survivor that ``EQUIVALENTS`` does not
-list, with its reason, and on an entry that names no site or a killed
-one.  A change that adds or moves code surveys its modules; each new
-survivor gets a test that kills it or an entry that argues it.
+``python tests/mutants.py [NAME ...]`` runs the hand list, or the named
+mutants: each must fail every test it names, within its timeout.
+``python tests/mutants.py --survey [MODULE ...]`` runs every mutant that
+``sites`` makes of the modules, all six by default: each is killed by the
+first of its module's test files in ``SURVEY`` that fails on it, or else
+listed in ``EQUIVALENTS``.  Both modes run each mutant in a worker of
+``each`` through ``run_pytest``, and exit 1 on any other outcome.
+README.md's "Tests" says more.
 """
 
 from __future__ import annotations
@@ -261,6 +246,13 @@ MUTANTS = (
 )
 
 
+# Both modes run pytest through one launcher, each mutant in a worker.
+JOBS = 2  # workers, each with its own copy of src/, tests/ and pyproject
+MEMORY = 2**30  # address space of one pytest, in bytes
+PYTEST = ("import resource, sys, pytest; resource.setrlimit(resource."
+          f"RLIMIT_AS, ({MEMORY}, {MEMORY})); sys.exit(pytest.main())")
+
+
 def copy_tree(into: Path) -> None:
     ignore = shutil.ignore_patterns("__pycache__", "*.egg-info")
     for part in ("src", "tests"):
@@ -268,13 +260,57 @@ def copy_tree(into: Path) -> None:
     shutil.copy2(ROOT / "pyproject.toml", into / "pyproject.toml")
 
 
-def failed(copy: Path, tests: tuple[str, ...]) -> set[str]:
-    """The named tests that fail (or err) when pytest runs in ``copy``."""
-    result = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "--tb=no", "-rfE",
-         "-p", "no:cacheprovider", *tests],
-        cwd=copy, capture_output=True, text=True)
-    if result.returncode not in (0, 1):  # a usage or collection error
+def run_pytest(where: Path, args, timeout: float | None):
+    """pytest's result for ``args`` in ``where``, with its address space
+    capped at MEMORY bytes and bytecode off, or None past ``timeout``."""
+    try:
+        result = subprocess.run(
+            [sys.executable, "-c", PYTEST, "-q", "--tb=no", "-rfE",
+             "-p", "no:cacheprovider", *args],
+            cwd=where, capture_output=True, text=True, timeout=timeout,
+            env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"})
+    except subprocess.TimeoutExpired:
+        return None
+    if result.returncode in (4, 5):  # a usage error, or no test collected
+        raise RuntimeError(result.stdout + result.stderr)
+    return result
+
+
+def unmutated(args) -> tuple[subprocess.CompletedProcess, float]:
+    """pytest's result for ``args`` in the tree itself, and the timeout of
+    a mutant's run of them: three times this run's wall time plus 60 s."""
+    began = time.monotonic()
+    return run_pytest(ROOT, args, None), 3 * (time.monotonic() - began) + 60
+
+
+def each(check, jobs):
+    """``check(worker, *args)`` for each job ``(file, source, *args)``, in
+    order, on JOBS copies of the tree made once; the job's copy holds
+    ``source`` as ``src/sweeplog/<file>``, which its pytest imports."""
+    with tempfile.TemporaryDirectory() as scratch, \
+            ThreadPoolExecutor(JOBS) as threads:
+        copies: queue.Queue[Path] = queue.Queue()
+        for index in range(JOBS):
+            copy_tree(Path(scratch) / f"worker{index}")
+            copies.put(Path(scratch) / f"worker{index}")
+
+        def one(job):
+            (file, source, *args), worker = job, copies.get()
+            target = worker / "src" / "sweeplog" / file
+            original = target.read_bytes()
+            try:
+                target.write_text(source, encoding="utf-8")
+                return check(worker, *args)
+            finally:
+                target.write_bytes(original)
+                copies.put(worker)
+
+        yield from threads.map(one, jobs)
+
+
+def failed(result: subprocess.CompletedProcess, tests) -> set[str]:
+    """The named tests that fail (or err) in pytest's ``result``."""
+    if result.returncode not in (0, 1):  # a collection error, or a crash
         raise RuntimeError(result.stdout + result.stderr)
     lines = result.stdout.splitlines()
     return {test for test in tests for line in lines
@@ -286,52 +322,47 @@ def main(names: list[str]) -> int:
     chosen = [m for m in MUTANTS if not names or m.name in names]
     problems = [f"{name}: no such mutant"
                 for name in set(names) - {m.name for m in MUTANTS}]
-    with tempfile.TemporaryDirectory() as scratch:
-        clean = Path(scratch) / "clean"
-        copy_tree(clean)
-        for mutant in chosen:
-            found = (clean / "src" / "sweeplog" / mutant.file).read_text(
-                encoding="utf-8").count(mutant.old)
-            if found != 1:
-                problems.append(f"{mutant.name}: old text found {found} times")
-        if not names:  # an entry that names no site is stale, as old texts
-            problems += unmatched(EQUIVALENTS, [
-                site for module in SURVEY for site in sites(module)])
-        if not problems:  # else a mutant might meet no text, or no test
-            named = tuple(dict.fromkeys(t for m in chosen for t in m.tests))
-            problems = [f"{test}: fails without a mutant"
-                        for test in sorted(failed(clean, named))]
-        for index, mutant in enumerate([] if problems else chosen):
-            copy = Path(scratch) / f"mutant{index}"
-            copy_tree(copy)
-            target = copy / "src" / "sweeplog" / mutant.file
-            target.write_text(target.read_text(encoding="utf-8").replace(
-                mutant.old, mutant.new), encoding="utf-8")
-            survived = set(mutant.tests) - failed(copy, mutant.tests)
-            print(f"{'SURVIVED' if survived else 'killed  '} {mutant.name}")
-            problems += [f"{mutant.name}: survives {test}"
-                         for test in sorted(survived)]
-            shutil.rmtree(copy)
+    text = {m: (ROOT / "src" / "sweeplog" / m.file).read_text(
+        encoding="utf-8") for m in chosen}
+    for mutant in chosen:
+        found = text[mutant].count(mutant.old)
+        if found != 1:
+            problems.append(f"{mutant.name}: old text found {found} times")
+    if not names:  # an entry that names no site is stale, as old texts
+        problems += [f"names no site: {key(entry)}" for entry in unmatched(
+            EQUIVALENTS, [site for name in SURVEY for site in sites(name)])]
+    if not problems:  # else a mutant might meet no text, or no test
+        named = tuple(dict.fromkeys(t for m in chosen for t in m.tests))
+        result, timeout = unmutated(named)
+        problems = [f"{test}: fails without a mutant"
+                    for test in sorted(failed(result, named))]
+    for mutant, result in zip(chosen, [] if problems else each(run_pytest, [
+            (m.file, text[m].replace(m.old, m.new), m.tests, timeout)
+            for m in chosen])):
+        survived = [] if result is None else sorted(
+            set(mutant.tests) - failed(result, mutant.tests))
+        print("TIMEOUT " if result is None else "SURVIVED" if survived
+              else "killed  ", mutant.name, flush=True)
+        problems += [f"{mutant.name}: survives {test}" for test in survived]
+        if result is None:
+            problems.append(f"{mutant.name}: runs past {timeout:.0f} s")
     for problem in problems:
         print(problem)
     return 1 if problems else 0
 
 
 # The survey: every site of a module, mutated at its AST position.
-JOBS = 2  # workers, each with its own copy of src/ and tests/
-MEMORY = 2**30  # address space of one mutant's pytest, in bytes
-SURVEY = {  # module -> the test files that import it, likeliest killers first
-    "model": ("test_model", "test_sweep", "test_metrics", "test_inject",
-              "test_acceptance", "test_cli", "test_differential",
-              "test_logio"),
-    "sweep": ("test_sweep", "test_acceptance", "test_cli",
+SURVEY = {  # module -> the test files that import it, most kills first
+    "model": ("test_model", "test_sweep", "test_differential", "test_metrics",
+              "test_inject", "test_acceptance", "test_cli", "test_logio"),
+    "sweep": ("test_sweep", "test_cli", "test_acceptance",
               "test_differential", "test_logio"),
-    "metrics": ("test_metrics", "test_acceptance", "test_inject", "test_cli",
+    "metrics": ("test_metrics", "test_cli", "test_acceptance", "test_inject",
                 "test_differential", "test_logio"),
-    "inject": ("test_inject", "test_acceptance", "test_cli",
-               "test_differential"),
-    "logio": ("test_logio", "test_cli", "test_acceptance", "test_boundaries",
-              "test_differential"),
+    "inject": ("test_inject", "test_cli", "test_differential",
+               "test_acceptance"),
+    "logio": ("test_logio", "test_cli", "test_differential",
+              "test_acceptance", "test_boundaries"),
     "cli": ("test_cli", "test_boundaries", "test_differential"),
 }
 SWAP = {ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt,
@@ -340,8 +371,6 @@ SWAP = {ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt,
         ast.Add: ast.Sub, ast.Sub: ast.Add, ast.Mult: ast.FloorDiv,
         ast.FloorDiv: ast.Mult, ast.And: ast.Or, ast.Or: ast.And}
 LITERAL = {0: 1, 1: 0, 2: 3}
-PYTEST = ("import resource, sys, pytest; resource.setrlimit(resource."
-          f"RLIMIT_AS, ({MEMORY}, {MEMORY})); sys.exit(pytest.main())")
 
 
 class Site(NamedTuple):
@@ -471,11 +500,10 @@ def key(mutant: Site | Equivalent) -> tuple[str, str, str]:
     return mutant.module, mutant.line, mutant.mutation
 
 
-def unmatched(entries, mutants: list[Site]) -> list[str]:
-    """Each of the ``EQUIVALENTS`` entries that names none of ``mutants``."""
-    found = {key(site) for site in mutants}
-    return [f"names no site: {key(entry)}" for entry in entries
-            if key(entry) not in found]
+def unmatched(these, those) -> list:
+    """Each of ``these`` whose key is that of none of ``those``."""
+    found = {key(that) for that in those}
+    return [this for this in these if key(this) not in found]
 
 
 def _variants(node: ast.AST, holder: ast.AST, field: str):
@@ -577,19 +605,13 @@ def sites(module: str) -> list[Site]:
     return found
 
 
-def _killed(where: Path, tests: list[str], timeout: float) -> bool:
-    """Whether pytest, stopping at the first failure, fails in ``where``."""
-    try:
-        result = subprocess.run(
-            [sys.executable, "-c", PYTEST, "-x", "-q", "--tb=no",
-             "-p", "no:cacheprovider", *tests],
-            cwd=where, capture_output=True, text=True, timeout=timeout,
-            env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"})
-    except subprocess.TimeoutExpired:
-        return True
-    if result.returncode in (4, 5):  # a usage error, or no test collected
-        raise RuntimeError(result.stdout + result.stderr)
-    return result.returncode != 0
+def _killer(worker: Path, files: list[str], timeout: dict) -> str | None:
+    """The first of ``files`` that fails, errs or times out in ``worker``."""
+    for file in files:
+        result = run_pytest(worker, ["-x", file], timeout[file])
+        if result is None or result.returncode != 0:
+            return file
+    return None
 
 
 def survey(modules: list[str]) -> int:
@@ -605,48 +627,26 @@ def survey(modules: list[str]) -> int:
     tests = {name: [f"tests/{file}.py" for file in SURVEY[name]]
              for name in modules}
     mutants = [site for name in modules for site in sites(name)]
+    timeout = {}  # each file passes unmutated, in a given time
+    for file in dict.fromkeys(f for name in modules for f in tests[name]):
+        result, timeout[file] = unmutated([file])
+        if result.returncode != 0:
+            print(f"{file}: fails without a mutant")
+            return 1
     survivors: list[Site] = []
-    with tempfile.TemporaryDirectory() as scratch:
-        copies: queue.Queue[Path] = queue.Queue()
-        for worker in range(JOBS):
-            copies.put(Path(scratch) / f"worker{worker}")
-            copy_tree(Path(scratch) / f"worker{worker}")
-        timeout = {}
-        for name in modules:  # each subset passes unmutated, in a given time
-            clock = time.monotonic()
-            if _killed(Path(scratch) / "worker0", tests[name], None):
-                print(f"{name}: its tests fail without a mutant")
-                return 1
-            timeout[name] = 3 * (time.monotonic() - clock) + 60
-
-        def run(site: Site) -> tuple[Site, bool]:
-            worker = copies.get()
-            target = worker / "src" / "sweeplog" / f"{site.module}.py"
-            original = target.read_bytes()
-            try:
-                target.write_text(site.source, encoding="utf-8")
-                return site, _killed(worker, tests[site.module],
-                                     timeout[site.module])
-            finally:
-                target.write_bytes(original)
-                copies.put(worker)
-
-        with ThreadPoolExecutor(JOBS) as pool:
-            for site, killed in pool.map(run, mutants):
-                print(f"{'killed  ' if killed else 'SURVIVED'} {site.module}:"
-                      f"{site.lineno}: {site.mutation}", flush=True)
-                if not killed:
-                    survivors.append(site)
+    for site, killer in zip(mutants, each(_killer, [
+            (f"{site.module}.py", site.source, tests[site.module], timeout)
+            for site in mutants])):
+        print(f"killed by {killer}:" if killer else "SURVIVED",
+              f"{site.module}:{site.lineno}: {site.mutation}", flush=True)
+        if not killer:
+            survivors.append(site)
     listed = [entry for entry in EQUIVALENTS if entry.module in modules]
-    argued = {key(entry) for entry in listed}
     problems += [f"survives, not a listed equivalent: {site.module}:"
                  f"{site.lineno}: {key(site)}"
-                 for site in survivors if key(site) not in argued]
-    problems += unmatched(listed, mutants)
-    killed = {key(site) for site in mutants} - {
-        key(site) for site in survivors}
-    problems += [f"is killed: {key(entry)}" for entry in listed
-                 if key(entry) in killed]
+                 for site in unmatched(survivors, listed)]
+    problems += [f"names no survivor: {key(entry)}"
+                 for entry in unmatched(listed, survivors)]
     for problem in problems:
         print(problem)
     print(f"{len(mutants)} mutants of {', '.join(modules)}: "
