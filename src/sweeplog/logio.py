@@ -256,15 +256,23 @@ def write_aux(log: EventLog, path: PathLike) -> None:
     """Write the fair-share table, one row per ``LogAdjustment.aux_items``."""
     join = _csv_join(log.items)  # names and int ids; a str id may need quotes
     aux_ids = count(1)
+
+    def head(item: WorkItem) -> str:  # "parent_id,case_id,activity"
+        return (join if type(item.id) is int else _csv_record)(
+            (str(item.id), item.trace_id, item.activity))
+
     with Path(path).open("w", newline="", encoding="utf-8") as handle:
         handle.write(",".join(AUX_COLUMNS) + "\n")
-        # Each item's "parent_id,case_id,activity", built one resource at
-        # a time, and each interval's "resource,start,end,portion" render once.
-        for resource, items, _, cuts in _sweeps(log):
-            heads = {item.id: (join if type(item.id) is int else _csv_record)(
-                (str(item.id), item.trace_id, item.activity))
-                for item in items}
+        for resource, items, alone, cuts in _sweeps(log):
             resource_text = join((resource,))
+            if alone is not None:  # a row per item, its duration, streamed
+                handle.writelines(
+                    f"{next(aux_ids)},{head(item)},{resource_text},"
+                    f"{format_timestamp(item.start)},"
+                    f"{format_timestamp(item.end)},{item.end - item.start}\n"
+                    for item in alone)
+                continue
+            heads = {item.id: head(item) for item in items}  # this resource's
             for start, end, live in cuts:
                 tail = (f"{resource_text},{format_timestamp(start)},"
                         f"{format_timestamp(end)},"

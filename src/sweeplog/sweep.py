@@ -9,10 +9,10 @@ advance from its start to its end; a resource's durations add up to the
 measure of its busy time.  ``_advances`` walks one resource's clock at a
 time, with no ids, and gives both the rounded and the exact ends: a clock
 counts 1/D ms, D the lcm of the live counts, so all arithmetic is exact.
-A resource that never runs two items at once needs no clock: each advance
-is the item's duration.  The id sweep, ``_bounds`` then ``_cut``, gives
-the shares, the ``aux`` table, the debug table and the views of the point,
-interval and share builders.  Exact ends and shares come on request.
+A resource that never runs two items at once needs no clock and no id
+sweep: an item's advance and its one share are its duration.  The id sweep,
+``_bounds`` then ``_cut``, gives the other shares, the debug table and the
+point, interval and share views.  Exact ends and shares come on request.
 """
 
 from __future__ import annotations
@@ -20,8 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, chain, count
+from itertools import accumulate, chain, count, pairwise
 from math import lcm
+from operator import attrgetter
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .model import (
@@ -210,12 +211,22 @@ def _shares(cuts: Iterable[_Cut], ids: Iterator[int]) -> Iterator[AuxWorkItem]:
             yield AuxWorkItem(next(ids), start, end, wiid, portion)
 
 
+def _alone(spans: list[WorkItem]) -> bool:
+    # Of non-instants in start order: each cut of their id sweep has one id.
+    return all(a.end <= b.start for a, b in pairwise(spans))
+
+
 def _sweeps(log: EventLog) -> Iterator[
-        tuple[str, list[WorkItem], list[_Bound], Iterator[_Cut]]]:
-    # Per resource by name: items, then bounds and lazy cuts of non-instants.
+        tuple[str, list[WorkItem], list[WorkItem] | None, Iterator[_Cut]]]:
+    # Per resource by name: items, the spans if _alone, else None, and cuts.
     for resource, items in _by_resource(log.items).items():
-        bounds = _bounds(item for item in items if item.end > item.start)
-        yield resource, items, bounds, _cut(bounds)
+        spans = [item for item in items if item.end > item.start]
+        spans.sort(key=attrgetter("start"))  # presorts _bounds' runs
+        if _alone(spans):  # each span is its own cut
+            yield resource, items, spans, (
+                (item.start, item.end, (item.id,)) for item in spans)
+        else:
+            yield resource, items, None, _cut(_bounds(spans))
 
 
 def _advances(log: EventLog) -> Iterator[tuple[WorkItem, int, int]]:
@@ -274,8 +285,9 @@ def format_adjustment_table(log: EventLog) -> str:
     decimals.
     """
     lines: list[str] = []
-    for resource, _, bounds, lazy_cuts in _sweeps(log):
-        cuts = list(lazy_cuts)  # walked twice below
+    for resource, items in _by_resource(log.items).items():
+        bounds = _bounds(item for item in items if item.end > item.start)
+        cuts = list(_cut(bounds))  # walked twice below
         point_text = ", ".join(
             f"({time}, {wiid}, '{PLUS if plus else MINUS}')"
             for time, _, _, wiid, plus in bounds

@@ -83,6 +83,20 @@ WORK_ITEM_SETTERS = (
     " _set_end = (\n"
     "    WorkItem.__dict__[name].__set__ for name in WorkItem.__slots__)\n")
 
+# logio.write_aux's rows of a resource that never multitasks.
+WRITE_AUX_ROW = (
+    '                    f"{next(aux_ids)},{head(item)},{resource_text},"\n'
+    '                    f"{format_timestamp(item.start)},"\n'
+    '                    f"{format_timestamp(item.end)},'
+    '{item.end - item.start}\\n"\n')
+WRITE_AUX_ALONE = (
+    "            resource_text = join((resource,))\n"
+    "            if alone is not None:  # a row per item, its duration,"
+    " streamed\n"
+    "                handle.writelines(\n" + WRITE_AUX_ROW
+    + "                    for item in alone)\n"
+    "                continue\n")
+
 MUTANTS = (
     Mutant("stamps skip the ISO-8601 grammar", "logio.py",
            "if _ISO_8601.fullmatch(text) is None:", "if False:",
@@ -106,10 +120,21 @@ MUTANTS = (
            (f"{METRICS}::TestMtri::test_four_task_value",
             f"{DIFF}::test_pairs_equal_the_live_item_reference")),
     Mutant("sweeps keep instants", "sweep.py",
+           "spans = [item for item in items if item.end > item.start]",
+           "spans = list(items)",
+           (f"{DIFF}::test_alone_holds_exactly_on_the_resources_without_a_"
+            "clock",
+            f"{DIFF}::test_aux_quotes_the_one_name_that_needs_it")),
+    Mutant("the debug table keeps instants", "sweep.py",
            "_bounds(item for item in items if item.end > item.start)",
            "_bounds(items)",
            (f"{DIFF}::test_sweep_views_equal_the_object_sweep",
             f"{GOLDEN}[aux --debug-table-ties.csv-ties.debug.txt]")),
+    Mutant("touching items are swept", "sweep.py",
+           "a.end <= b.start", "a.end < b.start",
+           (f"{ADJUST}::test_a_log_without_overlap_is_never_swept",
+            f"{DIFF}::test_alone_holds_exactly_on_the_resources_without_a_"
+            "clock")),
     Mutant("hour key at the time's T", "logio.py",
            "_HOUR_MS[text[7:14]]", '_HOUR_MS["-01" + text[10:14]]',
            (f"{LOOKUP}::test_near_misses[20240101xxT08:15:30.123Z-False]",
@@ -199,18 +224,26 @@ MUTANTS = (
            '(join if type(item.id) is int else ",".join)(',
            (f"{DIFF}::test_aux_quotes_the_one_name_that_needs_it",)),
     Mutant("write_aux renders every head up front", "logio.py",
-           "        for resource, items, _, cuts in _sweeps(log):\n"
-           "            heads = {item.id: (join if type(item.id) is int"
-           " else _csv_record)(\n"
-           "                (str(item.id), item.trace_id, item.activity))\n"
-           "                for item in items}",
-           "        heads = {item.id: (join if type(item.id) is int"
-           " else _csv_record)(\n"
-           "            (str(item.id), item.trace_id, item.activity))\n"
-           "            for item in log.items}\n"
-           "        for resource, items, _, cuts in _sweeps(log):",
+           "        for resource, items, alone, cuts in _sweeps(log):\n"
+           + WRITE_AUX_ALONE +
+           "            heads = {item.id: head(item) for item in items}"
+           "  # this resource's\n",
+           "        heads = {item.id: head(item) for item in log.items}\n"
+           "        for resource, items, alone, cuts in _sweeps(log):\n"
+           + WRITE_AUX_ALONE,
            ("tests/test_logio.py::test_write_aux_renders_one_resource_of_"
             "heads_at_a_time",)),
+    Mutant("write_aux joins the rows of a resource alone", "logio.py",
+           "                handle.writelines(\n" + WRITE_AUX_ROW
+           + "                    for item in alone)\n",
+           '                handle.write("".join([\n' + WRITE_AUX_ROW
+           + "                    for item in alone]))\n",
+           ("tests/test_logio.py::test_write_aux_streams_the_rows_of_a_"
+            "resource_alone",)),
+    Mutant("write_aux sweeps a resource alone", "logio.py",
+           "if alone is not None:", "if False:",
+           ("tests/test_logio.py::test_write_aux_streams_the_rows_of_a_"
+            "resource_alone",)),
     Mutant("summarize keeps one overlapped dict", "metrics.py",
            "    tasks: set[str] = set()\n"
            "    events = total_pairs = 0\n"
@@ -483,8 +516,7 @@ EQUIVALENTS = (
                "1 -> 0",
                "k = 0 gives position 0, which _resorted skips"),
     Equivalent("logio",
-               "heads = {item.id: (join if type(item.id) is int else "
-               "_csv_record)(",
+               "return (join if type(item.id) is int else _csv_record)(",
                "join if type(item.id) is int else _csv_record -> _csv_record",
                "a fast path: no int id needs quoting, so _csv_record writes "
                "the same head, more slowly"),

@@ -531,6 +531,10 @@ def test_checked_in_iso_stamps_take_the_grammar_path():
     # Eleven items of one trace share a start, so ids 10 and 11 sort
     # between 1 and 2 by text.
     ("adjust", "straddle.csv", "straddle.adjusted.csv"),
+    # No resource of either log ever runs two items at once, so each item
+    # is one share, its whole duration.
+    ("aux", "chain.csv", "chain.aux.csv"),
+    ("aux", "straddle.csv", "straddle.aux.csv"),
     # Adjacent pairs across traces on two resources, ids past 9, and a
     # shifted item that passes its trace predecessor.
     ("inject --shift 0.3", "chain.csv", "chain.injected.csv"),

@@ -91,6 +91,9 @@ from sweeplog.model import (
     validate_log,
 )
 from sweeplog.sweep import (
+    _advances,
+    _alone,
+    _sweeps,
     adjust_log,
     build_aux_items,
     build_intervals,
@@ -510,9 +513,10 @@ def test_adjust_and_aux_build_no_share(logs, tmp_path, monkeypatch):
         ]
 
 
-def test_sweep_views_equal_the_object_sweep(logs, crowded_logs, tie_logs):
+def test_sweep_views_equal_the_object_sweep(logs, crowded_logs, tie_logs,
+                                           mixed_logs):
     # Full segments, so instantaneous items are swept too.
-    for log in logs + crowded_logs + tie_logs:
+    for log in logs + crowded_logs + tie_logs + mixed_logs:
         for segment in segments_per_resource(log):
             points = build_time_points(segment)
             assert points == time_points_by_objects(segment)
@@ -703,6 +707,24 @@ def test_items_whose_end_stays_are_the_input_objects(logs, crowded_logs,
             kept += out is item
             moved += out is not item
     assert kept > LOGS and moved > LOGS
+
+
+def test_alone_holds_exactly_on_the_resources_without_a_clock(
+        logs, crowded_logs, tie_logs, mixed_logs):
+    # _alone of a resource's non-instants in start order, as _sweeps gives
+    # them, against the object sweep and against the clock walk.
+    alone = clocked = 0
+    for log in logs + crowded_logs + tie_logs + mixed_logs:
+        segments = segments_per_resource(log)
+        held = {segment.resource for segment in segments if _alone(
+            [item for item in segment.items if item.end > item.start])}
+        assert held == clean_resources(log) == {
+            resource for resource, _, spans, _ in _sweeps(log)
+            if spans is not None}
+        with_clock = {item.resource for item, _, _ in _advances(log)}
+        assert held == {segment.resource for segment in segments} - with_clock
+        alone, clocked = alone + len(held), clocked + len(with_clock)
+    assert alone > LOGS and clocked > LOGS
 
 
 def test_mixed_corpus_has_the_clean_shapes(mixed_logs):
@@ -973,17 +995,19 @@ def one_quoted_id_logs(logs):
             for log, char in zip(shared, ',"\r\n' * 10)]
 
 
-def test_aux_quotes_the_one_name_that_needs_it(logs, tie_logs, tmp_path):
+def test_aux_quotes_the_one_name_that_needs_it(logs, tie_logs, mixed_logs,
+                                               tmp_path):
+    # Mixed logs take both paths of write_aux, one resource at a time.
     source, out = tmp_path / "in.csv", tmp_path / "aux.csv"
-    for log in one_quoted_name_logs(logs):
+    for log in one_quoted_name_logs(logs) + one_quoted_name_logs(mixed_logs):
         write_csv(log, source)
         assert run(["aux", "--in", str(source), "--out", str(out)]) == 0
         assert out.read_bytes() == aux_text_by_rows(
             read_csv(source)).encode("utf-8")
     # A library log's ids may be strings, which csv.writer may quote.
-    quoted_ids = one_quoted_id_logs(logs)
-    assert len(quoted_ids) == 40
-    for log in quoted_ids + tie_logs:
+    quoted_ids = one_quoted_id_logs(logs) + one_quoted_id_logs(mixed_logs)
+    assert len(quoted_ids) == 80
+    for log in quoted_ids + tie_logs + mixed_logs:
         write_aux(log, out)
         assert out.read_bytes() == aux_text_by_rows(log).encode("utf-8")
 

@@ -4,6 +4,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 from sweeplog import sweep
+from sweeplog.logio import write_aux
 from sweeplog.model import ResourceSegment, segments_per_resource
 from sweeplog.sweep import (
     _advances,
@@ -15,11 +16,13 @@ from sweeplog.sweep import (
 )
 
 from helpers import (
+    aux_text_by_rows,
     chain_log,
     fair_share_by_unit_steps,
     four_task_log,
     make_log,
     random_segment_items,
+    shares_by_resource,
     traced_peak,
     union_measure_by_unit_steps,
     wi,
@@ -260,6 +263,21 @@ class TestAdjustLog:
                    in zip(adjusted.coalesced.items, log.items, strict=True))
         assert [c.end_exact for c in adjusted.coalesced_exact] == [
             Fraction(item.end) for item in log.items]
+
+    def test_a_log_without_overlap_is_never_swept(self, monkeypatch,
+                                                  tmp_path):
+        # Each item of a resource that never multitasks is one share, its
+        # whole duration, written without the id sweep's bounds or cuts.
+        def forbidden(*args):
+            raise AssertionError("an id sweep was run")
+
+        log = chain_log(2_000)
+        text, shares = aux_text_by_rows(log), shares_by_resource(log)
+        monkeypatch.setattr(sweep, "_bounds", forbidden)
+        monkeypatch.setattr(sweep, "_cut", forbidden)
+        write_aux(log, tmp_path / "aux.csv")
+        assert (tmp_path / "aux.csv").read_bytes() == text.encode("utf-8")
+        assert adjust_log(log).aux_by_resource == shares
 
     def test_exact_ends_peak_near_what_they_retain(self):
         # A chain's items only touch, so no resource of it gets a clock;
