@@ -14,7 +14,7 @@ attributes are ignored on read and never written.  Interleavings where
 same-activity items of one trace and resource strictly nest cannot be
 expressed faithfully by lifecycle events and do not round-trip.  XES is
 written as fixed text, with ElementTree's escapes in attribute values,
-and read one trace at a time through ``pyexpat`` callbacks.
+and read one trace at a time through a ``pyexpat`` start-tag callback.
 
 Timestamps are serialized as UTC ISO-8601 with milliseconds; anything a
 file supplies below one millisecond is rounded half-up on read.
@@ -25,11 +25,11 @@ from __future__ import annotations
 import csv
 import json
 import re
-from collections import deque
+from collections import defaultdict, deque
 from datetime import date, datetime, timedelta, timezone
 from functools import lru_cache
 from itertools import count, groupby
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from pathlib import Path
 from types import SimpleNamespace
 from typing import Callable, Iterable, Sequence, Union
@@ -287,8 +287,9 @@ def read_xes(path: PathLike) -> EventLog:
     Pairing is FIFO per (trace, activity, resource) in document order.
     Unmatched events and unknown lifecycle transitions are errors naming
     the trace and activity.  The k-th trace, if unnamed, is called
-    ``trace-k``, a name that no named trace may also carry.  Each trace is
-    checked as it ends, so faults are reported in document order.
+    ``trace-k``, a name that no named trace may also carry.  A trace is
+    checked once the root's next child starts, or once the parse stops,
+    failed or not, so faults are reported in document order.
     """
     path = Path(path)
     rows: list[_Row] = []
@@ -297,26 +298,30 @@ def read_xes(path: PathLike) -> EventLog:
     names: list[str | None] = []  # the open trace's concept:name candidates
     events: list[dict[str, str]] | None = None  # its events, None outside
     event: dict[str, str] = {}  # the open event's attributes, or a throwaway
-    depth = trace_count = 0  # the root is at depth 1
+    ends: list[str] = []  # end tags since the last reset, appended by expat
+    starts = trace_count = 0  # the depth reset to, plus start tags since
 
     def opened(tag: str, attrs: dict[str, str]) -> None:
-        nonlocal depth, events, event
-        if (depth := depth + 1) == 4 and events is not None and "key" in attrs:
+        nonlocal starts, events, event
+        depth = (starts := starts + 1) - len(ends)  # the root is at 1
+        if depth == 4 and events is not None and "key" in attrs:
             event[attrs["key"]] = attrs.get("value", "")
-        elif depth == 3 and events is not None:
-            event = {}
-            if tag.rpartition("}")[2] == "event":
-                events.append(event)
-            elif attrs.get("key") == "concept:name":
-                names.append(attrs.get("value"))
-        elif depth == 2:
-            names.clear()
-            events = [] if tag.rpartition("}")[2] == "trace" else None
+        else:
+            starts, ends[:] = depth, ()  # ends holds one event's ends at most
+            if depth == 3 and events is not None:
+                event = {}
+                if tag.rpartition("}")[2] == "event":
+                    events.append(event)
+                elif attrs.get("key") == "concept:name":
+                    names.append(attrs.get("value"))
+            elif depth == 2:
+                if events is not None:  # the root's last child was a trace
+                    ended()
+                names.clear()
+                events = [] if tag.rpartition("}")[2] == "trace" else None
 
-    def closed(tag: str) -> None:
-        nonlocal depth, trace_count
-        if (depth := depth - 1) != 1 or events is None:
-            return  # not the end of a trace
+    def ended() -> None:
+        nonlocal trace_count
         trace_count += 1
         named = bool(names and names[0])
         trace_id = names[0] if named else f"trace-{trace_count}"
@@ -328,7 +333,7 @@ def read_xes(path: PathLike) -> EventLog:
             where = "" if activity is None else f", activity {activity!r}"
             return LogFormatError(f"{path}: trace {trace_id!r}{where}: {text}")
 
-        waiting: dict[tuple[str, str], deque[int]] = {}  # open starts, FIFO
+        waiting: defaultdict[tuple[str, str], deque[int]] = defaultdict(deque)
         for attrs in events:
             activity = attrs.get("concept:name")
             resource = attrs.get("org:resource")
@@ -341,8 +346,8 @@ def read_xes(path: PathLike) -> EventLog:
                 stamp = parse_timestamp(stamp_text)
             except LogFormatError as exc:
                 raise error(str(exc), activity) from None
-            if transition == _TRANSITION_START:
-                waiting.setdefault((activity, resource), deque()).append(stamp)
+            if transition == _TRANSITION_START:  # open starts, FIFO
+                waiting[activity, resource].append(stamp)
             elif transition == _TRANSITION_COMPLETE:
                 pending = waiting.get((activity, resource))
                 if not pending:
@@ -365,13 +370,17 @@ def read_xes(path: PathLike) -> EventLog:
             f"{parser.ErrorLineNumber}, column {parser.ErrorColumnNumber}")
 
     parser = expat.ParserCreate(namespace_separator="}")
-    parser.StartElementHandler, parser.EndElementHandler = opened, closed
+    parser.StartElementHandler, parser.EndElementHandler = opened, ends.append
     parser.SkippedEntityHandler = parser.ExternalEntityRefHandler = undefined
     try:
         with path.open("rb") as handle:
             parser.ParseFile(handle)
     except (expat.ExpatError, LookupError) as exc:  # or an unknown encoding
+        if events is not None and starts - len(ends) <= 1:
+            ended()  # a trace that ended before the fault comes first
         raise LogFormatError(f"{path}: XML parse failure: {exc}") from exc
+    if events is not None:
+        ended()  # the last child of the root
     del parser  # its cycle with undefined would keep rows alive past return
     return _assemble(rows)
 
@@ -404,15 +413,18 @@ def write_xes(log: EventLog, path: PathLike) -> None:
     Items are written in log order, which groups them by trace id.  Each
     becomes a start and a complete event, and a trace's events are
     ordered by timestamp (stable on ties, so FIFO re-reading reproduces
-    the items).  The text is fixed, with ElementTree's escapes in
-    attribute values.  A name holding a character that XML 1.0 cannot
-    carry raises :class:`ValueError` before the file is opened.
+    the items).  The text is fixed, with ElementTree's escapes made once
+    per name.  A name holding a character that XML 1.0 cannot carry
+    raises :class:`ValueError` before the file is opened.
     """
-    for item in log.items:
-        bad = _NON_XML.search(item.trace_id + item.activity + item.resource)
-        if bad:
-            raise ValueError(f"{path}: trace {item.trace_id!r}: character "
+    escaped: dict[str, str] = {}  # each activity and resource, this write's
+    for trace_id, items in groupby(log.items, key=attrgetter("trace_id")):
+        new = dict.fromkeys(name for item in items for name in (
+            item.activity, item.resource) if name not in escaped)  # log order
+        if bad := _NON_XML.search(trace_id + "".join(new)):
+            raise ValueError(f"{path}: trace {trace_id!r}: character "
                              f"{bad[0]!r} cannot be written to XML")
+        escaped.update((name, name.translate(_ESCAPE)) for name in new)
     with Path(path).open("w", newline="", encoding="utf-8") as handle:
         handle.write(_XES_HEAD)
         for trace_id, items in groupby(log.items, key=attrgetter("trace_id")):
@@ -422,20 +434,20 @@ def write_xes(log: EventLog, path: PathLike) -> None:
 """)
             events: list[tuple[int, str]] = []
             for item in items:
-                activity = item.activity.translate(_ESCAPE)
-                resource = item.resource.translate(_ESCAPE)
-                for stamp, transition in ((item.start, _TRANSITION_START),
-                                          (item.end, _TRANSITION_COMPLETE)):
-                    events.append((stamp, f"""\
+                names = f"""\
     <event>
-      <string key="concept:name" value="{activity}" />
-      <string key="org:resource" value="{resource}" />
-      <string key="lifecycle:transition" value="{transition}" />
-      <date key="time:timestamp" value="{format_timestamp(stamp)}" />
+      <string key="concept:name" value="{escaped[item.activity]}" />
+      <string key="org:resource" value="{escaped[item.resource]}" />
+      <string key="lifecycle:transition" value=\""""
+                events += ((item.start, f"""{names}{_TRANSITION_START}" />
+      <date key="time:timestamp" value="{format_timestamp(item.start)}" />
+    </event>
+"""), (item.end, f"""{names}{_TRANSITION_COMPLETE}" />
+      <date key="time:timestamp" value="{format_timestamp(item.end)}" />
     </event>
 """))
-            events.sort(key=lambda entry: entry[0])
-            handle.writelines(text for _, text in events)
+            events.sort(key=itemgetter(0))
+            handle.writelines(map(itemgetter(1), events))
             handle.write("  </trace>\n")
         handle.write("</log>")
 

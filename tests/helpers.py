@@ -9,7 +9,14 @@ straightforward quadratic versions the library's sweeps replaced, and
 clock replaced.  ``read_xes_tree`` is the whole-tree XES reader that the
 streaming reader replaced.  ``read_xes_iterparse`` is that streaming
 reader, which built an ``Element`` per XML element and which the ``pyexpat``
-callbacks of ``read_xes`` replaced.  ``summarize_by_pair_objects`` is the
+callbacks of ``read_xes`` replaced.  ``read_xes_by_end_handler`` is that
+``read_xes`` as it was with a Python end-tag callback, which checked each
+trace at its end tag, before ``list.append`` took the end tags and the next
+child of the root (or the parse's end) became the check's cue, and
+``write_xes_by_item_escapes`` is ``write_xes`` as it was when it checked
+and escaped every item's names and rendered each event in full, before
+one escape per distinct name and one rendering of the lines an item's
+two events share.  ``summarize_by_pair_objects`` is the
 ``summarize`` that built one ``PairOverlap`` per overlapped pair (with
 ``overlapped_pairs_by_sweep``), and ``aux_text_by_rows`` is the ``aux``
 table written one ``writerow`` per share, the loop that the pre-rendered
@@ -62,13 +69,19 @@ from dataclasses import dataclass
 from fractions import Fraction
 from collections import deque
 from datetime import date, datetime, time, timedelta, timezone
-from itertools import accumulate, combinations
+from itertools import accumulate, combinations, groupby
 from math import comb, fsum, lcm
 from operator import attrgetter
 from pathlib import Path
+from xml.parsers import expat
 
 from sweeplog.inject import PlannedShift, ShiftPlan, find_adjacent_pairs
 from sweeplog.logio import (
+    _ESCAPE,
+    _NON_XML,
+    _TRANSITION_COMPLETE,
+    _TRANSITION_START,
+    _XES_HEAD,
     AUX_COLUMNS,
     CSV_COLUMNS,
     LogFormatError,
@@ -656,6 +669,130 @@ def read_xes_tree(path) -> EventLog:
     return _assemble(rows)
 
 
+def read_xes_by_end_handler(path) -> EventLog:
+    """``read_xes`` with a Python end-tag callback, which checks each trace
+    as its end tag is read and builds a ``deque`` per start event."""
+    path = Path(path)
+    rows: list[_Row] = []
+    one = {}.setdefault  # one str per distinct name, for this read only
+    named_by_id: dict[str, bool] = {}
+    names: list[str | None] = []  # the open trace's concept:name candidates
+    events: list[dict[str, str]] | None = None  # its events, None outside
+    event: dict[str, str] = {}  # the open event's attributes, or a throwaway
+    depth = trace_count = 0  # the root is at depth 1
+
+    def opened(tag: str, attrs: dict[str, str]) -> None:
+        nonlocal depth, events, event
+        if (depth := depth + 1) == 4 and events is not None and "key" in attrs:
+            event[attrs["key"]] = attrs.get("value", "")
+        elif depth == 3 and events is not None:
+            event = {}
+            if tag.rpartition("}")[2] == "event":
+                events.append(event)
+            elif attrs.get("key") == "concept:name":
+                names.append(attrs.get("value"))
+        elif depth == 2:
+            names.clear()
+            events = [] if tag.rpartition("}")[2] == "trace" else None
+
+    def closed(tag: str) -> None:
+        nonlocal depth, trace_count
+        if (depth := depth - 1) != 1 or events is None:
+            return  # not the end of a trace
+        trace_count += 1
+        named = bool(names and names[0])
+        trace_id = names[0] if named else f"trace-{trace_count}"
+        if named_by_id.setdefault(trace_id, named) != named:
+            raise LogFormatError(f"{path}: trace name {trace_id!r} is both "
+                                 "given and generated")
+
+        def error(text: str, activity: str | None = None) -> LogFormatError:
+            where = "" if activity is None else f", activity {activity!r}"
+            return LogFormatError(f"{path}: trace {trace_id!r}{where}: {text}")
+
+        waiting: dict[tuple[str, str], deque[int]] = {}  # open starts, FIFO
+        for attrs in events:
+            activity = attrs.get("concept:name")
+            resource = attrs.get("org:resource")
+            transition = attrs.get("lifecycle:transition", "").lower()
+            stamp_text = attrs.get("time:timestamp")
+            if not activity or not resource or stamp_text is None:
+                raise error("event missing concept:name, org:resource, "
+                            "or time:timestamp")
+            try:
+                stamp = parse_timestamp(stamp_text)
+            except LogFormatError as exc:
+                raise error(str(exc), activity) from None
+            if transition == _TRANSITION_START:
+                waiting.setdefault((activity, resource), deque()).append(stamp)
+            elif transition == _TRANSITION_COMPLETE:
+                pending = waiting.get((activity, resource))
+                if not pending:
+                    raise error("'complete' without a prior start", activity)
+                start = pending.popleft()
+                if stamp < start:
+                    raise error("'complete' precedes its start", activity)
+                rows.append((trace_id, start, stamp, one(activity, activity),
+                             one(resource, resource)))
+            else:
+                raise error("unsupported lifecycle:transition "
+                            f"{attrs.get('lifecycle:transition')!r}", activity)
+        for (activity, _), pending in waiting.items():
+            if pending:
+                raise error("'start' without a matching complete", activity)
+
+    def undefined(name: str, *_: object) -> None:  # entities expat skips
+        raise expat.ExpatError(  # as ElementTree; a context ends \f + name
+            f"undefined entity &{name.rpartition(chr(12))[2]};: line "
+            f"{parser.ErrorLineNumber}, column {parser.ErrorColumnNumber}")
+
+    parser = expat.ParserCreate(namespace_separator="}")
+    parser.StartElementHandler, parser.EndElementHandler = opened, closed
+    parser.SkippedEntityHandler = parser.ExternalEntityRefHandler = undefined
+    try:
+        with path.open("rb") as handle:
+            parser.ParseFile(handle)
+    except (expat.ExpatError, LookupError) as exc:  # or an unknown encoding
+        raise LogFormatError(f"{path}: XML parse failure: {exc}") from exc
+    del parser  # its cycle with undefined would keep rows alive past return
+    return _assemble(rows)
+
+
+def write_xes_by_item_escapes(log: EventLog, path) -> None:
+    """``write_xes`` checking and escaping the names of every item, and
+    rendering each event of an item in full."""
+    for item in log.items:
+        bad = _NON_XML.search(item.trace_id + item.activity + item.resource)
+        if bad:
+            raise ValueError(f"{path}: trace {item.trace_id!r}: character "
+                             f"{bad[0]!r} cannot be written to XML")
+    with Path(path).open("w", newline="", encoding="utf-8") as handle:
+        handle.write(_XES_HEAD)
+        for trace_id, items in groupby(log.items, key=attrgetter("trace_id")):
+            handle.write(f"""\
+  <trace>
+    <string key="concept:name" value="{trace_id.translate(_ESCAPE)}" />
+""")
+            events: list[tuple[int, str]] = []
+            for item in items:
+                activity = item.activity.translate(_ESCAPE)
+                resource = item.resource.translate(_ESCAPE)
+                for stamp, transition in ((item.start, _TRANSITION_START),
+                                          (item.end, _TRANSITION_COMPLETE)):
+                    events.append((stamp, f"""\
+    <event>
+      <string key="concept:name" value="{activity}" />
+      <string key="org:resource" value="{resource}" />
+      <string key="lifecycle:transition" value="{transition}" />
+      <date key="time:timestamp" value="{format_timestamp(stamp)}" />
+    </event>
+"""))
+            events.sort(key=lambda entry: entry[0])
+            handle.writelines(text for _, text in events)
+            handle.write("  </trace>\n")
+        handle.write("</log>")
+
+
 def overlapped_pairs_by_sweep(segment) -> list[PairOverlap]:
     """The start-order sweep, one ``PairOverlap`` from ``overlap()`` each."""
     pairs = []
@@ -1024,6 +1161,9 @@ def parse_timestamp_by_groups(text: str) -> int:
 # Characters outside XML 1.0's Char production, by its complement.
 NON_XML_BY_CHAR_PRODUCTION = re.compile(
     r"[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
+# Characters XML 1.0 cannot carry, each refused by write_xes.
+NON_XML_CHARS = ("\x00", "\x08", "\x0b", "\x0c", "\x0e", "\x1f", "\ud800",
+                 "\udfff", "\ufffe", "\uffff")
 
 
 @dataclass(frozen=True)

@@ -46,6 +46,9 @@ METRICS = "tests/test_metrics.py"
 READ_PEAK = "tests/test_logio.py::test_a_read_peaks_near_what_it_retains"
 RETAINED = ("tests/test_logio.py::TestNamesHeldOnce::test_a_read_log_retains_"
             "under_220_bytes_per_item")
+READ_XES = "tests/test_logio.py::TestReadXes"
+FAULT_THEN_XML = (f"{READ_XES}::test_a_faulty_trace_is_reported_before_"
+                  "malformed_xml_after_it")
 # model.WorkItem in four parts: the class head, given the docstring's end
 # of its first line, its __init__, its property, and the slots' setters.
 WORK_ITEM_HEAD = (
@@ -154,6 +157,27 @@ MUTANTS = (
            "        handle.write(_XES_HEAD)",
            (f"{CLI}::test_every_writer_opens_its_file_without_newline_"
             "translation",)),
+    Mutant("a root-level parse failure skips the trace before it",
+           "logio.py",
+           "if events is not None and starts - len(ends) <= 1:",
+           "if events is not None and starts - len(ends) < 1:",
+           (f"{FAULT_THEN_XML}[&e;]", f"{FAULT_THEN_XML}[<x:trace/>]")),
+    Mutant("read_xes never checks the last trace", "logio.py",
+           "    if events is not None:\n"
+           "        ended()  # the last child of the root\n",
+           "",
+           (f"{READ_XES}::test_single_pair",
+            f"{GOLDEN}[adjust-four_tasks.prom.xes-four_tasks.adjusted.xes]")),
+    Mutant("read_xes keeps every end tag", "logio.py",
+           "starts, ends[:] = depth, ()", "starts = depth + len(ends)",
+           ("tests/test_logio.py::test_read_xes_holds_no_end_tags_of_past_"
+            "events",)),
+    Mutant("write_xes keys escaped trace ids", "logio.py",
+           'value="{trace_id.translate(_ESCAPE)}" />',
+           'value="{escaped.setdefault(trace_id, trace_id.translate('
+           '_ESCAPE))}" />',
+           ("tests/test_logio.py::test_write_xes_keeps_no_table_of_trace_"
+            "ids",)),
     Mutant("_assemble keeps every row until the last item", "logio.py",
            "    rows.sort(reverse=True)  # popped from the end; equal rows are"
            " equal\n"

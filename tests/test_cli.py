@@ -528,6 +528,10 @@ def test_checked_in_iso_stamps_take_the_grammar_path():
     # them; every version must write the same bytes.
     ("adjust", "quoted.csv", "quoted.adjusted.csv"),
     ("aux", "quoted.csv", "quoted.aux.csv"),
+    # The same logs written as XES, with ElementTree's escapes.
+    ("adjust", "four_tasks.csv", "four_tasks.adjusted.xes"),
+    ("adjust", "four_tasks.prom.xes", "four_tasks.adjusted.xes"),
+    ("adjust", "quoted.csv", "quoted.adjusted.xes"),
     # Eleven items of one trace share a start, so ids 10 and 11 sort
     # between 1 and 2 by text.
     ("adjust", "straddle.csv", "straddle.adjusted.csv"),
@@ -554,7 +558,7 @@ def test_outputs_match_the_checked_in_golden_files(tmp_path, capsys, command,
                                                    source, golden):
     # CI compares the installed script's output with the same files.
     data = Path(__file__).parent / "data"
-    out = tmp_path / "out.csv"
+    out = tmp_path / ("out.xes" if golden.endswith(".xes") else "out.csv")
     assert run([*command.split(), "--in", str(data / source),
                 "--out", str(out)]) == 0
     if "--debug-table" in command:

@@ -14,8 +14,11 @@ once, is checked against the clock on every resource on all three
 corpora and on mixed logs, whose clean resources hold touching items and
 instants inside a span, at a shared boundary and alone.
 The callback XES reader is checked against the whole-tree and the
-``iterparse`` readers it replaced, on these logs written as XES and on
-hand-written documents, well-formed or faulty.
+``iterparse`` readers it replaced, and against itself with a Python
+end-tag callback, on these logs written as XES and on hand-written
+documents, well-formed or faulty.  ``write_xes`` is checked against the
+writer that escaped every item's names, byte for byte on these, the mixed
+and the quoted-name logs, and on the first name it refuses.
 ``summarize`` is checked against the ``PairOverlap``-based one and the
 pair-list one it replaced, exactly, on these logs, the crowded logs
 and tie-heavy logs on a small grid of instants, and is kept from calling
@@ -102,6 +105,7 @@ from sweeplog.sweep import (
 )
 
 from helpers import (
+    NON_XML_CHARS,
     WorkItemByDict,
     adjacent_pairs_by_rescan,
     adjust_by_clock_on_every_resource,
@@ -124,6 +128,7 @@ from helpers import (
     parse_timestamp_by_groups,
     plan_shifts_by_fractions,
     random_segment_items,
+    read_xes_by_end_handler,
     read_xes_iterparse,
     read_xes_tree,
     shares_by_resource,
@@ -133,6 +138,7 @@ from helpers import (
     time_points_by_objects,
     wi,
     write_csv_by_writer,
+    write_xes_by_item_escapes,
     xes_event,
     xes_text,
 )
@@ -763,6 +769,7 @@ def test_streaming_xes_reader_matches_tree_reader(logs, tmp_path):
         write_xes(log, path)
         log = read_xes(path)
         assert log == read_xes_tree(path) == read_xes_iterparse(path)
+        assert log == read_xes_by_end_handler(path)
 
 
 def events(activity="T1", start=0, end=10):
@@ -821,6 +828,7 @@ def test_streaming_xes_reader_matches_tree_reader_by_hand(name, tmp_path):
     log = read_xes(path)
     assert len(log) > 0
     assert log == read_xes_tree(path) == read_xes_iterparse(path)
+    assert log == read_xes_by_end_handler(path)
 
 
 EXTERNAL_ENTITY = '<!DOCTYPE log [<!ENTITY e SYSTEM "e.xml">]>'
@@ -877,11 +885,12 @@ def test_xes_readers_raise_the_same_error(name, tmp_path):
     path = tmp_path / "bad.xes"
     path.write_text(XES_FAULTS[name], encoding="utf-8")
     messages = []
-    for reader in (read_xes, read_xes_tree, read_xes_iterparse):
+    for reader in (read_xes, read_xes_tree, read_xes_iterparse,
+                   read_xes_by_end_handler):
         with pytest.raises(LogFormatError) as caught:
             reader(path)
         messages.append(str(caught.value))
-    assert messages[0] == messages[1] == messages[2]
+    assert len(set(messages)) == 1, messages
 
 
 # Name parts that CSV must quote (comma, quote, CR, LF, CRLF) or must
@@ -979,6 +988,57 @@ def test_write_csv_is_the_csv_writer_byte_for_byte(logs, quoted_logs,
         write_csv(log, fast)
         write_csv_by_writer(log, reference)
         assert fast.read_bytes() == reference.read_bytes()
+
+
+# The characters XML attribute values escape, and ones they keep.
+XML_NAME_PARTS = ("&", "<", ">", '"', "\t", "\r", "\n", "'", "é")
+
+
+def test_write_xes_writes_the_reference_bytes(logs, mixed_logs, quoted_logs,
+                                              tmp_path):
+    # One escape per distinct name and the lines an item's two events
+    # share rendered once must give the bytes of every event rendered in
+    # full, each item's names escaped anew.
+    fast, reference = tmp_path / "fast.xes", tmp_path / "reference.xes"
+    rng = random.Random(1849)
+    escaped = [renamed(log, lambda name: name + "".join(
+        rng.choices(XML_NAME_PARTS, k=rng.randint(1, 3))))
+        for log in logs[:100]]
+    for log in logs + mixed_logs + quoted_logs + escaped:
+        write_xes(log, fast)
+        write_xes_by_item_escapes(log, reference)
+        assert fast.read_bytes() == reference.read_bytes()
+    assert all(part in fast.read_text(encoding="utf-8")
+               for part in ("&amp;", "&lt;", "&gt;", "&quot;", "&#09;",
+                            "&#13;", "&#10;", "'", "é"))
+
+
+def test_write_xes_refuses_the_reference_s_first_name(logs, tmp_path):
+    # Names are checked once per write and trace ids once per trace, yet
+    # the refusal must name the item that writing every item's names in
+    # log order meets first, with the first character of its trace id,
+    # activity and resource that XML cannot carry.
+    rng = random.Random(101)
+    path = tmp_path / "bad.xes"
+    refused = 0
+    for log in logs[:150]:
+        if not log.items:
+            continue
+        bad = {rng.choice(log.items).id for _ in range(rng.randint(1, 3))}
+        log = make_log([
+            replace(item, **{field: getattr(item, field) + rng.choice(
+                NON_XML_CHARS) for field in rng.sample(
+                    ("trace_id", "activity", "resource"), rng.randint(1, 2))})
+            if item.id in bad else item for item in log.items])
+        messages = []
+        for writer in (write_xes, write_xes_by_item_escapes):
+            with pytest.raises(ValueError) as caught:
+                writer(log, path)
+            assert not path.exists()
+            messages.append(str(caught.value))
+        assert messages[0] == messages[1]
+        refused += 1
+    assert refused > 100
 
 
 def with_one_quoted_id(log, char):
